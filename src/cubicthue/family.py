@@ -162,13 +162,17 @@ def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
 
 def form_at(fam: FormFamily, n: int) -> BinaryCubicForm:
     """n-th family member from exact symmetric functions of epsilon^n*alpha."""
-    beta = fam.beta(n)
+    return norm_form(fam.beta(n))
+
+
+def norm_form(beta: FieldElement) -> BinaryCubicForm:
+    """N(X - beta Y) from exact symmetric functions of the integral beta."""
     t1 = beta.trace()
     e3 = beta.norm()
     e2 = e3 * beta.inverse().trace()
     coeffs = (Fraction(1), -t1, e2, -e3)
     if any(c.denominator != 1 for c in coeffs):
-        raise InvalidParameter(f"non-integral coefficients at index {n}")
+        raise InvalidParameter(f"non-integral coefficients for beta = {beta}")
     return BinaryCubicForm(*(int(c) for c in coeffs))
 
 

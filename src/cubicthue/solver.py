@@ -2,13 +2,32 @@
 
 Two independent enumeration paths cover the same box and must agree:
 
-* `solve_box` prunes by the factorization |F| = |x - b y| |x - b' y|^2 with
-  b the real root and b' the complex root of the n-th form.  Any solution
-  either has x among the nearest integers to b*y, or satisfies
-  |x - Re(b') y| <= sqrt(2k) (because |x - b y| >= 1/2 forces the quadratic
-  factor below 2k).  Candidate tests use certified dyadic enclosures, so no
-  solution can be missed; each surviving candidate is confirmed by exact
-  integer evaluation.
+* `solve_box` works from the factorization |F| = |x - b y| |x - b' y|^2,
+  with b the real root and b' the complex root of the n-th form, and
+  g = |b - b'|, Im = |Im b'| taken as certified lower bounds.  Since
+  |x - b y| + |x - b' y| >= g |y|, every solution falls in one of two cases:
+
+  - Case A, |x - b' y| >= g |y| / 2.  Then |b - x/y| <= 4k / (g^2 |y|^3),
+    which is below 1 / (2 y^2) once |y| > 8k / g^2.  Writing x/y = p/q in
+    lowest terms, q <= |y| gives |b - p/q| < 1 / (2 q^2), so by Legendre's
+    theorem p/q is a convergent of b, and (x, y) = +-m (p, q) with
+    m^3 |F(p, q)| = |F(x, y)| <= k.
+  - Case B, |x - b y| >= g |y| / 2.  As |x - b' y| >= Im |y| always,
+    k >= (g |y| / 2) (Im |y|)^2, so |y|^3 <= 2k / (g Im^2).
+
+  So with Y* = max(8k / g^2, (2k / (g Im^2))^(1/3)) the candidates come from
+  two sources.  Every y with |y| <= min(Y*, y_max) is scanned: the integers
+  nearest b*y, and the band |x - Re(b') y| <= sqrt(k), both cut to the
+  radius |x - b y| <= k / (Im y)^2 that every solution obeys.  Beyond Y*,
+  the candidates are the points +-m (p, q) with p/q a convergent of b,
+  m^3 <= k and Y* < m q <= y_max; Lagrange's method computes the
+  convergents exactly from the integer cubic F(t, 1).  A non-primitive
+  solution needs no third source: Case A bounds x/y itself, whatever the
+  size of its primitive part.  The scan tests run in exact scaled-integer
+  arithmetic on certified dyadic brackets, and each candidate is confirmed
+  by exact integer evaluation.  The cost grows only like log(y_max).
+  This is the reduction step of Thue solvers: Tzanakis & de Weger,
+  J. Number Theory 31 (1989); Bilu & Hanrot, J. Number Theory 60 (1996).
 
 * `brute_force_oracle` never looks at the roots' enclosures: for each
   (n, y) it splits the cubic in x into its monotone pieces (the critical
@@ -26,14 +45,14 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
-from .cubicfield import DEFAULT_PRECISION
+from .cubicfield import DEFAULT_PRECISION, FieldElement
 from .errors import PrecisionExhausted
-from .family import BinaryCubicForm, FormFamily, form_at
-from .intervals import RI
-from .reduction import Decomposition, decompose_solution
+from .family import BinaryCubicForm, FormFamily, form_at, norm_form
+from .reduction import Decomposition, unit_reduce
 from .reporting import frac_str, ri_json
 
 
@@ -89,23 +108,52 @@ def record_keys(records: list[SolutionRecord]) -> list[tuple[int, int, int, int]
     return [(r.n, r.x, r.y, r.value) for r in records]
 
 
+def _iroot(n: int, e: int) -> int:
+    """Largest integer r >= 0 with r^e <= n, for an integer n >= 0."""
+    if n == 0:
+        return 0
+    r = 1 << -(-n.bit_length() // e)  # >= the root; Newton descends to it
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def x_cap(fam: FormFamily, spec: SearchSpec) -> int:
-    """|x| bound closing the box: y_max * ceil(max_n |real root|) + k."""
-    top = Fraction(1)
-    for n in spec.indices():
-        real = abs(fam.beta(n).real_embedding(Fraction(1, 1 << 48)))
-        top = max(top, real.hi)
-    return spec.y_max * math.ceil(top) + spec.k
+    """|x| bound closing the box; see `_cap`."""
+    return _cap([fam.beta(n) for n in spec.indices()], spec)
 
 
-def _finish(fam: FormFamily, spec: SearchSpec, found: dict,
-            with_decomposition: bool) -> list[SolutionRecord]:
+def _cap(betas, spec: SearchSpec) -> int:
+    """floor(y_max * max |root| + k^(1/3)) from certified upper bounds.
+
+    F_n(x, y) = prod_i (x - b_i y) gives min_i |x - b_i y| <= k^(1/3), so
+    every solution with |y| <= y_max has |x| <= y_max * |b_i| + k^(1/3) for
+    some root b_i: the real root or the complex pair, whichever is larger."""
+    top2 = Fraction(0)
+    for beta in betas:
+        real, cplx = beta.embed(Fraction(1, 1 << 48))
+        top2 = max(top2, abs(real).hi ** 2, cplx.abs2().hi)
+    # numerators over 2^32 of upper bounds on y_max * sqrt(top2) and k^(1/3)
+    roots = math.isqrt(math.ceil(top2 * (spec.y_max << 32) ** 2)) + 1
+    cbrt_k = _iroot(spec.k << 96, 3) + 1
+    return (roots + cbrt_k) >> 32
+
+
+def _finish(fam: FormFamily, found: dict, with_decomposition: bool,
+            precision, betas: dict) -> list[SolutionRecord]:
+    """Sorted records; decomposes gamma = x - beta_n y for each solution.
+
+    `betas` caches beta_n per index and is filled for indices it lacks."""
     records = []
     for (n, x, y), (value, degenerate) in found.items():
         dec = None
         if with_decomposition and not degenerate and x != 0 and y != 0:
-            dec, _ = decompose_solution(fam, n, x, y,
-                                        k=spec.k if spec.k >= 2 else None)
+            if n not in betas:
+                betas[n] = fam.beta(n)
+            dec = unit_reduce(fam, (-y) * betas[n] + x, precision)
+            assert dec.norm_abs == abs(value), "norm and form value disagree"
         records.append(SolutionRecord(
             n, x, y, value, math.gcd(abs(x), abs(y)) == 1, degenerate, dec))
     records.sort(key=lambda r: r.key)
@@ -126,7 +174,9 @@ def _trivial_axis_solutions(found: dict, spec: SearchSpec, cap: int, n: int,
     """Solutions on the axes x = 0 and y = 0, when trivial pairs are kept."""
     if spec.exclude_trivial or spec.k == 0:
         return
-    for y in range(-spec.y_max, spec.y_max + 1):
+    # F(0, y) = a3 y^3 with a3 a nonzero integer, so |y|^3 <= k
+    y_top = min(spec.y_max, _iroot(spec.k, 3))
+    for y in range(-y_top, y_top + 1):
         v = form.evaluate(0, y)
         if v != 0 and abs(v) <= spec.k:
             found[(n, 0, y)] = (v, degenerate)
@@ -140,15 +190,12 @@ def _trivial_axis_solutions(found: dict, spec: SearchSpec, cap: int, n: int,
 
 
 def _degenerate_lines(found: dict, spec: SearchSpec, cap: int, n: int,
-                      fam: FormFamily, form: BinaryCubicForm) -> None:
+                      beta: FieldElement, form: BinaryCubicForm) -> None:
     """Enumerate the degenerate index exactly: F = (x - b y)^3 with b in Z."""
-    beta = fam.beta(n)
     b = beta.c0
     assert b.denominator == 1, "degenerate root of an integral form is an integer"
     b = int(b)
-    tmax = int(round(spec.k ** (1 / 3))) + 1
-    while tmax**3 > spec.k:
-        tmax -= 1
+    tmax = _iroot(spec.k, 3)
     for y in range(-spec.y_max, spec.y_max + 1):
         for t in range(-tmax, tmax + 1):
             if t == 0:
@@ -160,24 +207,34 @@ def _degenerate_lines(found: dict, spec: SearchSpec, cap: int, n: int,
 # -- certified pruned enumeration -------------------------------------------------
 
 
-def _stripe_data(fam: FormFamily, n: int, y_max: int):
-    """Dyadic anchors for the pruning tests of one index.
+class _Anchors(NamedTuple):
+    """Certified data of one index, as integers scaled by 2^shift."""
 
-    Returns scaled integer brackets of the real root and of the complex
-    root's real part, plus a dyadic lower bound on Im(complex root)^2."""
-    shift = 64 + max(48, (2 * y_max).bit_length() + 100)
+    shift: int
+    p_lo: int  # bracket of the real root b
+    p_hi: int
+    r_lo: int  # bracket of Re b'
+    r_hi: int
+    num2: int  # num2 / 2^s2 <= Im(b')^2, with num2 > 0
+    s2: int
+    y_scan: int  # every solution with |y| > y_scan is a convergent multiple
+
+
+def _stripe_data(beta: FieldElement, spec: SearchSpec) -> _Anchors:
+    """Dyadic anchors for the scan of one index, and its certified range.
+
+    y_scan bounds Y* = max(8k/g^2, (2k/(g Im^2))^(1/3)) from above, where
+    g = |b - b'| and Im = |Im b'| enter through lower bounds."""
+    shift = 64 + max(48, (2 * spec.y_max).bit_length() + 100)
     width = Fraction(1, 1 << shift)
-    beta = fam.beta(n)
     for _ in range(8):
         real, cplx = beta.embed(width)
         if cplx.im.sign_definite():
             break
         width /= 1 << 64
     else:
-        raise PrecisionExhausted(f"imaginary part not separated at n={n}")
+        raise PrecisionExhausted(f"imaginary part not separated for {beta}")
     scale = 1 << shift
-    p_lo = math.floor(real.lo * scale)
-    p_hi = math.ceil(real.hi * scale)
     im2 = abs(cplx.im).lo ** 2
     # dyadic lower bound num2 / 2^s2 <= Im^2, with num2 > 0
     s2 = 80
@@ -185,9 +242,60 @@ def _stripe_data(fam: FormFamily, n: int, y_max: int):
     while num2 <= 0:
         s2 *= 2
         num2 = math.floor(im2 * (1 << s2))
-    r_lo = math.floor(cplx.re.lo * scale)
-    r_hi = math.ceil(cplx.re.hi * scale)
-    return shift, p_lo, p_hi, num2, s2, r_lo, r_hi
+    gap = max(real.lo - cplx.re.hi, cplx.re.lo - real.hi, 0)
+    g2 = gap * gap + im2  # <= |b - b'|^2
+    k = spec.k
+    y_scan = max(math.floor(8 * k / g2),
+                 _iroot(math.floor(4 * k * k / (g2 * im2 * im2)), 6))
+    return _Anchors(shift, math.floor(real.lo * scale),
+                    math.ceil(real.hi * scale), math.floor(cplx.re.lo * scale),
+                    math.ceil(cplx.re.hi * scale), num2, s2, y_scan)
+
+
+def _floor_real_root(c: tuple[int, int, int, int]) -> int:
+    """Floor of the single real root r of c0 t^3 + c1 t^2 + c2 t + c3.
+
+    The cubic is c0 (t - r) |t - z|^2, so sign(c0 P(t)) = sign(t - r), and r
+    is irrational: exact sign tests bracket it between consecutive integers."""
+    c0, c1, c2, c3 = c
+    sign = 1 if c0 > 0 else -1
+
+    def above(t: int) -> bool:
+        return sign * (((c0 * t + c1) * t + c2) * t + c3) > 0
+
+    lo, hi = -1, 1
+    while above(lo):
+        lo *= 2
+    while not above(hi):
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _convergents(form: BinaryCubicForm, q_max: int):
+    """Convergents p/q, 0 < q <= q_max, of the real root of F(t, 1).
+
+    Lagrange's method: each partial quotient a is the floor of the real root
+    of an integer cubic P, and u^3 P(a + 1/u) is the next cubic, whose real
+    root 1/(root - a) > 1 is the next complete quotient."""
+    c = form.coefficients
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = _floor_real_root(c)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > q_max:
+            return
+        yield p1, q1
+        c0, c1, c2, c3 = c
+        c = (((c0 * a + c1) * a + c2) * a + c3,
+             (3 * c0 * a + 2 * c1) * a + c2,
+             3 * c0 * a + c1,
+             c0)
 
 
 def solve_box(fam: FormFamily, spec: SearchSpec,
@@ -195,36 +303,43 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
               with_decomposition: bool = True) -> list[SolutionRecord]:
     """Pruned exhaustive enumeration; equals the oracle on the same box.
 
-    Any solution has |x - b y| <= k / (y Im b')^2, which prunes to the
-    integers nearest b*y, or falls in the band |x - Re(b') y| <= sqrt(2k);
-    both tests run in exact scaled-integer arithmetic on certified dyadic
-    brackets, so the candidate set provably contains every solution."""
+    Per index, the candidates come from two sources (see the module
+    docstring for the proof that together they hold every solution):
+
+    * the stripe scan of every y with |y| <= min(y_scan, y_max);
+    * the points +-m (p, q) with p/q a convergent of the real root, m^3 <= k
+      and y_scan < m q <= y_max.
+
+    Every candidate is confirmed by exact integer evaluation.  `precision`
+    is the width target of the balance enclosures of the decompositions."""
     found: dict = {}
     if spec.k == 0:
         return []
-    cap = x_cap(fam, spec)
-    zk = math.isqrt(2 * spec.k) + 1
-    for n in spec.indices():
-        form = form_at(fam, n)
-        if fam.is_degenerate_index(n):
+    betas = {n: fam.beta(n) for n in spec.indices()}
+    cap = _cap(betas.values(), spec)
+    zk = math.isqrt(spec.k) + 1
+    for n, beta in betas.items():
+        form = norm_form(beta)
+        if beta.is_rational():
             if not spec.exclude_degenerate:
-                _degenerate_lines(found, spec, cap, n, fam, form)
+                _degenerate_lines(found, spec, cap, n, beta, form)
                 _trivial_axis_solutions(found, spec, cap, n, form, True)
             continue
         try:
-            shift, p_lo, p_hi, num2, s2, r_lo, r_hi = _stripe_data(
-                fam, n, spec.y_max)
+            shift, p_lo, p_hi, r_lo, r_hi, num2, s2, y_scan = _stripe_data(
+                beta, spec)
         except PrecisionExhausted:
             _oracle_index(found, fam, spec, cap, n, form)
             continue
         one = 1 << shift
-        zone_y2_cap = ((2 * spec.k) << s2) // num2  # zone active iff y^2 <= cap
         evaluate = form.evaluate
-        for y in range(-spec.y_max, spec.y_max + 1):
+        y_scan = min(y_scan, spec.y_max)
+        for y in range(-y_scan, y_scan + 1):
             if y == 0:
                 continue
-            # integers nearest to (real root) * y, kept only when within the
-            # certified radius k / (y Im b')^2 of the enclosure
+            # every solution has |x - b y| <= k / (y Im b')^2: r_scaled
+            # bounds that radius, and the integers nearest b*y are kept
+            # only when within it
             t_lo, t_hi = (p_lo * y, p_hi * y) if y > 0 else (p_hi * y, p_lo * y)
             r_scaled = ((spec.k << (shift + s2)) // (y * y * num2)) + 1
             x_first = t_lo // one
@@ -233,17 +348,30 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
                 d = max(t_lo - x * one, x * one - t_hi, 0)
                 if d <= r_scaled:
                     _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
-            # wide-linear-factor band around Re(complex root) * y
-            if y * y <= zone_y2_cap:
-                c_lo, c_hi = (r_lo * y, r_hi * y) if y > 0 else (r_hi * y, r_lo * y)
-                z_first = (c_lo - (zk << shift)) // one
-                z_last = -((-(c_hi + (zk << shift))) // one)
-                for x in range(z_first, z_last + 1):
-                    if x_first <= x <= x_last:
-                        continue
-                    _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
+            # the other integers have |x - b y| >= 1, so |x - b' y|^2 <= k:
+            # the band |x - Re(b') y| <= sqrt(k), cut to the same radius
+            # around b y
+            c_lo, c_hi = (r_lo * y, r_hi * y) if y > 0 else (r_hi * y, r_lo * y)
+            z_first = max((c_lo - (zk << shift)) // one,
+                          -((r_scaled - t_lo) // one))
+            z_last = min(-((-(c_hi + (zk << shift))) // one),
+                         (t_hi + r_scaled) // one)
+            for x in range(z_first, z_last + 1):
+                if x_first <= x <= x_last:
+                    continue
+                _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
+        if y_scan < spec.y_max:
+            for p, q in _convergents(form, spec.y_max):
+                value = evaluate(p, q)  # nonzero: the form is irreducible
+                m = 1
+                while m * q <= spec.y_max and m ** 3 * abs(value) <= spec.k:
+                    if m * q > y_scan:
+                        for s in (m, -m):
+                            _collect(found, spec, cap, n, s * p, s * q,
+                                     evaluate(s * p, s * q), False)
+                    m += 1
         _trivial_axis_solutions(found, spec, cap, n, form, False)
-    return _finish(fam, spec, found, with_decomposition)
+    return _finish(fam, found, with_decomposition, precision, betas)
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -371,7 +499,7 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
         degenerate = fam.is_degenerate_index(n)
         if degenerate:
             if not spec.exclude_degenerate:
-                _degenerate_lines(found, spec, cap, n, fam, form)
+                _degenerate_lines(found, spec, cap, n, fam.beta(n), form)
                 _trivial_axis_solutions(found, spec, cap, n, form, True)
             continue
         if naive:
@@ -384,7 +512,7 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
             _trivial_axis_solutions(found, spec, cap, n, form, False)
         else:
             _oracle_index(found, fam, spec, cap, n, form)
-    return _finish(fam, spec, found, with_decomposition)
+    return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, {})
 
 
 # -- sweep -------------------------------------------------------------------------

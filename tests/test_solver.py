@@ -1,13 +1,17 @@
 """Solver: oracle equivalence, box semantics, sweep reporting."""
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from cubicthue.family import form_at
+from cubicthue.family import BinaryCubicForm, family_from_json, form_at
 from cubicthue.solver import (
     SearchSpec,
+    _convergents,
+    _stripe_data,
     brute_force_oracle,
     record_keys,
     solve_box,
@@ -16,6 +20,11 @@ from cubicthue.solver import (
 )
 
 SMALL = SearchSpec(k=10, n_lo=-3, n_hi=3, y_max=25)
+
+# the complex root of F_-10 is far larger than its real root: a cap built
+# from the real root alone (240) drops F_-10(268, -4) and F_-10(335, -5)
+CAP_WITNESS = ('{"schema":1,"min_poly":[1,0,1,-1],"alpha":["0","0","1"],'
+               '"epsilon":["1","1","1"]}')
 
 
 # -- oracle ------------------------------------------------------------------
@@ -116,6 +125,54 @@ def test_solve_box_primitive_flag(fam1):
         assert r.primitive == (math.gcd(abs(r.x), abs(r.y)) == 1)
 
 
+def test_complex_root_cap_witness():
+    fam = family_from_json(CAP_WITNESS)
+    spec = SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40)
+    assert x_cap(fam, spec) >= 335
+    keys = record_keys(solve_box(fam, spec, with_decomposition=False))
+    assert keys == record_keys(brute_force_oracle(fam, spec,
+                                                  with_decomposition=False))
+    assert (-10, 268, -4, 64) in keys
+    assert (-10, 335, -5, 125) in keys
+
+
+def test_precision_reaches_the_balance(fam1):
+    spec = SearchSpec(k=10, n_lo=0, n_hi=1, y_max=25)
+    tight = Fraction(1, 10**40)
+    default = solve_box(fam1, spec)
+    fine = solve_box(fam1, spec, precision=tight)
+    assert record_keys(fine) == record_keys(default)
+    assert all(r.decomposition.balance.width <= tight for r in fine)
+    assert any(r.decomposition.balance.width > tight for r in default)
+
+
+def test_convergent_source_beyond_the_scan(fam1):
+    # F_-3(5, 74) = 51 lies beyond the certified scan range of its index,
+    # so only the convergent candidates can find it
+    spec = SearchSpec(k=60, n_lo=-3, n_hi=-3, y_max=100)
+    assert _stripe_data(fam1.beta(-3), spec).y_scan < 74
+    keys = record_keys(solve_box(fam1, spec, with_decomposition=False))
+    assert (-3, 5, 74, 51) in keys
+    assert keys == record_keys(brute_force_oracle(fam1, spec,
+                                                  with_decomposition=False))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0, -2), (1, 0, 0, 2),
+                                    (1, -12, 50, 7), (1, 3, 3, -1)])
+def test_convergents_match_a_high_precision_expansion(coeffs):
+    form = BinaryCubicForm(*coeffs)
+    with mpmath.workdps(300):
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=600)
+        t = min(roots, key=lambda r: abs(mpmath.im(r))).real
+        expected, (p0, q0, p1, q1) = [], (0, 1, 1, 0)
+        while q1 <= 10**30:
+            a = int(mpmath.floor(t))
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+            expected.append((p1, q1))
+            t = 1 / (t - a)
+    assert list(_convergents(form, 10**30)) == expected[:-1]
+
+
 def test_sorted_output(fam1):
     records = solve_box(fam1, SMALL, with_decomposition=False)
     keys = [r.key for r in records]
@@ -137,7 +194,7 @@ def test_sweep_monotone_and_finite(fam1):
 
 
 def test_sweep_box_stability(fam1):
-    template = SearchSpec(k=1, n_lo=-4, n_hi=4, y_max=500)
+    template = SearchSpec(k=1, n_lo=-4, n_hi=4, y_max=10**6)
     rows = theorem1_sweep(fam1, [5, 10], template, stability_factor=2)
     for row in rows:
         assert row.stable is True
@@ -184,3 +241,20 @@ def test_empty_stripes_cost_nothing(fam1):
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     assert all(abs(r.y) <= 20 for r in records)
+
+
+def test_large_box_extends_the_small_one(fam1):
+    # beyond the certified scan range only convergents are examined, so a
+    # box 5 * 10^4 times taller costs about as much as the canonical one
+    small = SearchSpec(k=100, n_lo=-10, n_hi=10, y_max=20000)
+    t0 = time.perf_counter()
+    records = solve_box(fam1, replace(small, y_max=10**9),
+                        with_decomposition=False)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0
+    inner = record_keys([r for r in records if abs(r.y) <= small.y_max])
+    assert inner == record_keys(solve_box(fam1, small,
+                                          with_decomposition=False))
+    for r in records:
+        assert form_at(fam1, r.n).evaluate(r.x, r.y) == r.value
+        assert 0 < abs(r.value) <= small.k

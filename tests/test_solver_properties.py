@@ -1,0 +1,67 @@
+"""Property tests: `solve_box` equals the oracles on random families.
+
+Families come from monic irreducible cubics X^3 + a1 X^2 + a2 X +- 1 with
+negative discriminant.  Their generator g is a unit, so epsilon = +-g^(+-1),
+signed and inverted to make its real embedding exceed 1, is a valid family
+unit; alpha is a random irrational algebraic integer."""
+
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from cubicthue.cubicfield import make_field
+from cubicthue.errors import ReduciblePolynomial, TotallyReal
+from cubicthue.family import family_from_json, make_family
+from cubicthue.solver import SearchSpec, brute_force_oracle, record_keys, solve_box
+
+CAP_WITNESS = family_from_json(
+    '{"schema":1,"min_poly":[1,0,1,-1],"alpha":["0","0","1"],'
+    '"epsilon":["1","1","1"]}')
+
+
+@st.composite
+def families(draw, coeff: int = 6, alpha_coeff: int = 3):
+    a1 = draw(st.integers(-coeff, coeff))
+    a2 = draw(st.integers(-coeff, coeff))
+    a3 = draw(st.sampled_from((-1, 1)))
+    try:
+        field = make_field((1, a1, a2, a3))
+    except (ReduciblePolynomial, TotallyReal):
+        assume(False)
+    g = field.gen()
+    real = g.real_embedding(Fraction(1, 1 << 64))
+    unit = g if abs(real).lo > 1 else g.inverse()
+    epsilon = unit if unit.signed_real() > 0 else -unit
+    c0, c1, c2 = draw(st.tuples(*[st.integers(-alpha_coeff, alpha_coeff)] * 3)
+                      .filter(lambda c: c[1:] != (0, 0)))
+    return make_family(field, field.element(c0, c1, c2), epsilon)
+
+
+@st.composite
+def boxes(draw, k_max: int, n_abs: int, y_max: int):
+    n_lo = draw(st.integers(-n_abs, n_abs))
+    n_hi = draw(st.integers(n_lo, min(n_abs, n_lo + 2)))
+    return SearchSpec(k=draw(st.integers(1, k_max)), n_lo=n_lo, n_hi=n_hi,
+                      y_max=draw(st.integers(1, y_max)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(fam=families(), spec=boxes(k_max=60, n_abs=4, y_max=300))
+@example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40))
+def test_solve_box_equals_oracle_on_random_families(fam, spec):
+    pruned = record_keys(solve_box(fam, spec, with_decomposition=False))
+    oracle = record_keys(brute_force_oracle(fam, spec,
+                                            with_decomposition=False))
+    assert pruned == oracle
+
+
+@settings(deadline=None, max_examples=25)
+@given(fam=families(coeff=4, alpha_coeff=2),
+       spec=boxes(k_max=30, n_abs=1, y_max=6))
+@example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=5))
+def test_solve_box_equals_naive_oracle_on_tiny_boxes(fam, spec):
+    pruned = record_keys(solve_box(fam, spec, with_decomposition=False))
+    naive = record_keys(brute_force_oracle(fam, spec, naive=True,
+                                           with_decomposition=False))
+    assert pruned == naive
