@@ -14,12 +14,8 @@ from .cubicfield import (
     CubicField,
     FieldElement,
     SplittingAlgebra,
-    arith,
-    embed,
     house,
     make_field,
-    norm,
-    trace,
 )
 from .family import (
     BinaryCubicForm,
@@ -30,7 +26,6 @@ from .family import (
     family_to_json,
     form_at,
     make_family,
-    negative_n_swap,
     normalize,
     swap_identity_check,
 )

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from .bounds import BakerConfig
 from .errors import InvalidParameter
-from .intervals import bits_for_width
 
 PRECISION_ENV = "CUBICTHUE_PRECISION"
 
@@ -17,16 +16,12 @@ PRECISION_ENV = "CUBICTHUE_PRECISION"
 @dataclass(frozen=True, slots=True)
 class Config:
     precision: Fraction = Fraction(1, 10**30)
-    max_precision_bits: int = 1 << 14
     baker: BakerConfig = field(default_factory=BakerConfig)
     output: str = "table"
 
     def __post_init__(self):
         if self.precision <= 0:
             raise InvalidParameter("precision must be positive")
-        if self.max_precision_bits < bits_for_width(self.precision):
-            raise InvalidParameter(
-                "max_precision_bits below the initial working precision")
         if self.output not in ("table", "json"):
             raise InvalidParameter(f"unknown output mode {self.output!r}")
 
@@ -35,8 +30,9 @@ def load_config(path: str | None = None, env=os.environ,
                 output_override: str | None = None) -> Config:
     """Config from an optional JSON file, with environment precision override.
 
-    Recognized keys: precision (decimal string), max_precision_bits (int),
-    baker {c0, c1, c2_default}, output ("table" | "json")."""
+    Recognized keys: precision (decimal string), baker {c0, c1, c2_default},
+    output ("table" | "json").  The precision cap of the refinement loops
+    is the constant `intervals.MAX_BITS`, not a setting."""
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
@@ -53,7 +49,6 @@ def load_config(path: str | None = None, env=os.environ,
     output = output_override or data.get("output", "table")
     return Config(
         precision=precision,
-        max_precision_bits=int(data.get("max_precision_bits", 1 << 14)),
         baker=baker,
         output=output,
     )

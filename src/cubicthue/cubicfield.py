@@ -23,28 +23,21 @@ embeddings, such as products of conjugates from different complex places.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .errors import (
     DivisionByZero,
     NonMonic,
-    PrecisionExhausted,
     ReduciblePolynomial,
     TotallyReal,
     ZeroElement,
 )
-from .intervals import CBox, RI, bits_for_width, ri_sqrt
+from .intervals import CBox, RI, bits_for_width, refine, ri_sqrt
 
 DEFAULT_PRECISION = Fraction(1, 10**30)
-
-# Hard ceiling on the binary precision of any refinement loop.  Reaching it
-# means a quantity that is mathematically nonzero could not be separated
-# from zero, which indicates a bug rather than a hard instance at desk scale.
-MAX_REFINE_BITS = 1 << 20
 
 
 def cubic_discriminant(a0: int, a1: int, a2: int, a3: int) -> int:
@@ -52,13 +45,20 @@ def cubic_discriminant(a0: int, a1: int, a2: int, a3: int) -> int:
             - 4 * a0 * a2**3 - 27 * a0**2 * a3**2)
 
 
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of a nonzero integer, by trial division."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def has_rational_root(coeffs: Sequence[int]) -> bool:
-    """Exhaustive divisor test for a rational root of an integer cubic."""
+    """Rational root theorem: try every p/q, p | a3 and q | a0."""
     a0, a1, a2, a3 = (int(c) for c in coeffs)
     if a3 == 0:
         return True
-    for p in sympy.divisors(abs(a3)):
-        for q in sympy.divisors(abs(a0)):
+    for p in _divisors(a3):
+        for q in _divisors(a0):
             for r in (Fraction(p, q), Fraction(-p, q)):
                 if ((a0 * r + a1) * r + a2) * r + a3 == 0:
                     return True
@@ -102,26 +102,25 @@ class CubicField:
     def complex_root(self, bits: int) -> CBox:
         """Enclosure of the complex root with positive imaginary part."""
         _, a1, _, a3 = self.min_poly
-        b = max(bits + 4, 32)
-        for _ in range(64):
+        target = Fraction(1, 1 << bits)
+
+        def step(b: int) -> CBox | None:
             r = self.real_root(b)
             if not r.sign_definite():
-                b *= 2
-                continue
+                return None
             re = (RI.point(-a1) - r) / 2
             mod2 = RI.point(-a3) / r
             im2 = mod2 - re.sqr()
             if im2.lo <= 0:
-                b *= 2
-                continue
+                return None
             box = CBox(re, ri_sqrt(im2, b))
             if self._cbox is not None:
                 box = box.intersect(self._cbox)
             self._cbox = box
-            if box.width <= Fraction(1, 1 << bits):
-                return box
-            b *= 2
-        raise PrecisionExhausted("complex root refinement did not converge")
+            return box if box.width <= target else None
+
+        return refine(step, max(bits + 4, 32),
+                      "complex root refinement did not converge")
 
     # -- elements -------------------------------------------------------------
 
@@ -331,17 +330,18 @@ class FieldElement:
     def embed(self, precision=DEFAULT_PRECISION) -> tuple[RI, CBox]:
         """Enclosures of the real and the positive-imaginary complex image."""
         target = Fraction(precision)
-        bits = bits_for_width(target)
-        while True:
+
+        def step(bits: int) -> tuple[RI, CBox] | None:
             r = self.field.real_root(bits)
             b = self.field.complex_root(bits)
             real = (RI.point(self.c2) * r + self.c1) * r + self.c0
             cplx = (CBox.point(self.c2) * b + self.c1) * b + self.c0
             if real.width <= target and cplx.width <= target:
                 return real, cplx
-            bits *= 2
-            if bits > MAX_REFINE_BITS:
-                raise PrecisionExhausted("embedding refinement stalled")
+            return None
+
+        return refine(step, bits_for_width(target),
+                      "embedding refinement stalled")
 
     def real_embedding(self, precision=DEFAULT_PRECISION) -> RI:
         return self.embed(precision)[0]
@@ -352,39 +352,14 @@ class FieldElement:
             raise ZeroElement("sign of zero")
         if self.is_rational():
             return 1 if self.c0 > 0 else -1
-        bits = 32
-        while True:
-            real, _ = self.embed(Fraction(1, 1 << bits))
+
+        def step(bits: int) -> int | None:
+            real = self.real_embedding(Fraction(1, 1 << bits))
             if real.sign_definite():
                 return 1 if real.is_positive() else -1
-            bits *= 2
-            if bits > MAX_REFINE_BITS:
-                raise PrecisionExhausted("sign determination stalled")
+            return None
 
-
-def arith(x: FieldElement, y: FieldElement, op: str) -> FieldElement:
-    """Named arithmetic entry point: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def norm(x: FieldElement) -> Fraction:
-    return x.norm()
-
-
-def trace(x: FieldElement) -> Fraction:
-    return x.trace()
-
-
-def embed(x: FieldElement, precision=DEFAULT_PRECISION) -> tuple[RI, CBox]:
-    return x.embed(precision)
+        return refine(step, 32, "sign determination stalled")
 
 
 def house(x: FieldElement, precision=DEFAULT_PRECISION) -> RI:
@@ -392,15 +367,13 @@ def house(x: FieldElement, precision=DEFAULT_PRECISION) -> RI:
     if x.is_zero():
         raise ZeroElement("house of zero")
     target = Fraction(precision)
-    bits = bits_for_width(target)
-    while True:
+
+    def step(bits: int) -> RI | None:
         real, cplx = x.embed(Fraction(1, 1 << bits))
         result = abs(real).max_with(cplx.abs(bits))
-        if result.width <= target:
-            return result
-        bits *= 2
-        if bits > MAX_REFINE_BITS:
-            raise PrecisionExhausted("house refinement stalled")
+        return result if result.width <= target else None
+
+    return refine(step, bits_for_width(target), "house refinement stalled")
 
 
 # -- splitting field -----------------------------------------------------------

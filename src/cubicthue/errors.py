@@ -66,7 +66,7 @@ class PrecisionExhausted(CubicThueError):
     """Requested certification not reachable within the precision cap."""
 
 
-class AmbiguousOrdering(CubicThueError):
+class AmbiguousOrdering(PrecisionExhausted):
     """Term magnitudes cannot be separated at maximum precision."""
 
 

@@ -36,7 +36,8 @@ from .cubicfield import (
     make_field,
 )
 from .errors import InvalidParameter, NotAUnit, ReducibleForm
-from .intervals import RI
+from .intervals import refine
+from .reporting import frac_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +67,9 @@ class BinaryCubicForm:
         return not has_rational_root(self.coefficients)
 
     def swapped(self) -> "BinaryCubicForm":
-        """G(X, Y) = F(Y, X): coefficient reversal."""
+        """G(X, Y) = F(Y, X): coefficient reversal.
+
+        Swapping the variables reduces negative indices to positive ones."""
         return BinaryCubicForm(self.a3, self.a2, self.a1, self.a0)
 
     def __neg__(self) -> "BinaryCubicForm":
@@ -74,11 +77,6 @@ class BinaryCubicForm:
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.coefficients)
-
-
-def negative_n_swap(form: BinaryCubicForm) -> BinaryCubicForm:
-    """Swap the variables; used to reduce negative indices to positive ones."""
-    return form.swapped()
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,11 +133,6 @@ class FormFamily:
         """True when epsilon^n * alpha is rational and the form degenerates."""
         return self.beta(n).is_rational()
 
-    def regulator_interval(self, precision) -> RI:
-        from .heights import regulator
-
-        return regulator(self, precision)
-
 
 def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
                 provenance: ScalingRecord | None = None,
@@ -149,14 +142,14 @@ def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
         raise InvalidParameter("alpha must be an algebraic integer")
     if abs(epsilon.norm()) != 1 or not epsilon.is_integral():
         raise NotAUnit(f"epsilon has norm {epsilon.norm()}")
-    bits = 32
-    while True:
+
+    def exceeds_one(bits: int) -> bool | None:
         real = epsilon.real_embedding(Fraction(1, 1 << bits))
-        if real.lo > 1:
-            break
         if real.hi <= 1:
             raise NotAUnit("epsilon is not > 1 in the real embedding")
-        bits *= 2
+        return True if real.lo > 1 else None
+
+    refine(exceeds_one, 32, "epsilon > 1 did not certify")
     return FormFamily(field, alpha, epsilon, provenance, D)
 
 
@@ -245,12 +238,8 @@ def swap_identity_check(fam: FormFamily, n: int) -> tuple[bool, dict]:
 # -- serialization ---------------------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _coords_json(el: FieldElement) -> list[str]:
-    return [_frac_str(c) for c in el.coords]
+    return [frac_str(c) for c in el.coords]
 
 
 def family_to_json(fam: FormFamily) -> str:

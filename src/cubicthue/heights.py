@@ -3,9 +3,11 @@
 The Mahler measure of an integer polynomial is |a0| times the product of
 max(1, |root|) over all roots; the absolute logarithmic height of an
 algebraic number is (1/deg) log M of its primitive integer minimal
-polynomial.  Root moduli are taken from certified isolating rectangles
-(exact rational bounds, refined until the output enclosure meets the
-requested width), so every returned interval encloses the true value.
+polynomial.  For an element of the cubic field the root moduli are those of
+its certified embeddings; `mahler_measure` of a general polynomial takes
+them from sympy's isolating rectangles (exact rational bounds).  Both are
+refined until the output enclosure meets the requested width, so every
+returned interval encloses the true value.
 """
 
 from __future__ import annotations
@@ -15,14 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .cubicfield import DEFAULT_PRECISION, FieldElement
 from .errors import NotAUnit, ZeroElement, ZeroPolynomial
 from .family import FormFamily
-from .intervals import CBox, RI, bits_for_width, ri_log, ri_root, ri_sqrt
-
-_X = sympy.Symbol("x")
+from .intervals import CBox, RI, bits_for_width, refine, ri_log, ri_root, ri_sqrt
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +30,7 @@ class HeightReport:
     degree_used: int
 
 
-def _to_int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
+def to_int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
     """Primitive integer polynomial proportional to the given one."""
     fracs = [Fraction(c) for c in coeffs]
     lcm = 1
@@ -48,7 +46,9 @@ def _to_int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
 def _isolated_root_moduli(int_coeffs: list[int], eps: Fraction,
                           bits: int) -> list[tuple[RI, int]]:
     """(|root| enclosure, multiplicity) pairs for an integer polynomial."""
-    poly = sympy.Poly(int_coeffs, _X)
+    import sympy  # here, so that `import cubicthue` does not load it
+
+    poly = sympy.Poly(int_coeffs, sympy.Symbol("x"))
     out: list[tuple[RI, int]] = []
     for factor, mult in poly.sqf_list()[1]:
         if factor.degree() == 0:
@@ -84,32 +84,16 @@ def mahler_measure(coeffs: Sequence, precision=DEFAULT_PRECISION) -> RI:
     if len(fracs) == 1:
         return RI.point(lead)
     target = Fraction(precision)
-    bits = bits_for_width(target)
-    int_coeffs = _to_int_primitive(fracs)
-    eps = Fraction(1, 1 << bits)
-    while True:
+    int_coeffs = to_int_primitive(fracs)
+
+    def step(bits: int) -> RI | None:
         result = RI.point(lead)
-        for modulus, mult in _isolated_root_moduli(int_coeffs, eps, bits):
+        for modulus, mult in _isolated_root_moduli(
+                int_coeffs, Fraction(1, 1 << bits), bits):
             result = result * modulus.max_with(1).pow_int(mult)
-        if result.width <= target:
-            return result
-        eps /= 1 << 32
-        bits += 32
+        return result if result.width <= target else None
 
-
-def height_from_minpoly(monic_coeffs: Sequence[Fraction],
-                        precision=DEFAULT_PRECISION) -> HeightReport:
-    """Height report from a monic rational minimal polynomial."""
-    degree = len(monic_coeffs) - 1
-    int_coeffs = _to_int_primitive(monic_coeffs)
-    target = Fraction(precision)
-    bits = bits_for_width(target)
-    while True:
-        mahler = mahler_measure(int_coeffs, Fraction(1, 1 << bits))
-        height = ri_log(mahler, bits) / degree
-        if height.width <= target and mahler.width <= target:
-            return HeightReport(mahler, height, degree)
-        bits *= 2
+    return refine(step, bits_for_width(target), "Mahler measure did not certify")
 
 
 def height_from_conjugates(lead: int, conjugates: Sequence[CBox], degree: int,
@@ -141,7 +125,21 @@ def abs_log_height(x: FieldElement, precision=DEFAULT_PRECISION) -> HeightReport
         m = Fraction(max(abs(x.c0.numerator), x.c0.denominator))
         bits = bits_for_width(Fraction(precision))
         return HeightReport(RI.point(m), ri_log(RI.point(m), bits), 1)
-    return height_from_minpoly(x.minimal_polynomial(), precision)
+    # an irrational element of the cubic field has degree 3, and its three
+    # conjugates are the real image and the complex pair
+    lead = to_int_primitive(x.minimal_polynomial())[0]
+    target = Fraction(precision)
+
+    def step(bits: int) -> HeightReport | None:
+        width = Fraction(1, 1 << bits)
+        real, cplx = x.embed(width)
+        report = height_from_conjugates(
+            lead, (CBox.from_real(real), cplx, cplx.conj()), 3, width)
+        if report.height.width <= target and report.mahler.width <= target:
+            return report
+        return None
+
+    return refine(step, bits_for_width(target), "height did not certify")
 
 
 def regulator(fam: FormFamily, precision=DEFAULT_PRECISION) -> RI:
@@ -150,18 +148,17 @@ def regulator(fam: FormFamily, precision=DEFAULT_PRECISION) -> RI:
     if abs(eps.norm()) != 1 or not eps.is_integral():
         raise NotAUnit(f"norm {eps.norm()}")
     target = Fraction(precision)
-    bits = bits_for_width(target)
-    while True:
+
+    def step(bits: int) -> RI | None:
         real = eps.real_embedding(Fraction(1, 1 << bits))
+        if real.hi <= 1:
+            raise NotAUnit("epsilon not > 1")
         if real.lo <= 1:
-            if real.hi <= 1:
-                raise NotAUnit("epsilon not > 1")
-            bits *= 2
-            continue
+            return None
         result = ri_log(real, bits)
-        if result.width <= target:
-            return result
-        bits *= 2
+        return result if result.width <= target else None
+
+    return refine(step, bits_for_width(target), "regulator did not certify")
 
 
 @dataclass(frozen=True, slots=True)

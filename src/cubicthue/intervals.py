@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, TypeVar, Union
 
 from mpmath import iv
 from mpmath.libmp import from_rational, round_ceiling, round_floor
 
+from .errors import PrecisionExhausted
+
 Rat = Union[int, Fraction]
+T = TypeVar("T")
 
 # Guard bits added on top of any requested working precision before calling
 # into mpmath, so that its own final rounding never eats the target width.
@@ -32,6 +35,26 @@ def bits_for_width(width) -> int:
     if w <= 0:
         raise ValueError("width target must be positive")
     return max(24, -math.floor(math.log2(w)) + GUARD_BITS)
+
+
+# Ceiling on the working precision of every certified refinement loop.
+# Reaching it means a quantity could not be certified at desk-scale
+# precision: the caller reports PrecisionExhausted instead of guessing.
+MAX_BITS = 1 << 14
+
+
+def refine(step: Callable[[int], T | None], bits: int, what: str) -> T:
+    """First result of `step(bits)` that is not None, doubling `bits`.
+
+    The first try always runs, even above the cap; PrecisionExhausted(what)
+    is raised once a doubling would take `bits` past MAX_BITS."""
+    while True:
+        result = step(bits)
+        if result is not None:
+            return result
+        bits *= 2
+        if bits > MAX_BITS:
+            raise PrecisionExhausted(what)
 
 
 def _raw_to_fraction(t) -> Fraction:
@@ -68,11 +91,6 @@ class RI:
         if flo > fhi:
             raise ValueError(f"empty interval [{flo}, {fhi}]")
         return RI(flo, fhi)
-
-    @staticmethod
-    def hull(items: Iterable["RI"]) -> "RI":
-        items = list(items)
-        return RI(min(x.lo for x in items), max(x.hi for x in items))
 
     # -- basic queries -----------------------------------------------------
 
@@ -196,9 +214,6 @@ class RI:
         if lo > hi:
             raise ValueError(f"disjoint intervals {self} and {other}")
         return RI(lo, hi)
-
-    def union(self, other: "RI") -> "RI":
-        return RI(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def max_with(self, other) -> "RI":
         o = self._coerce(other)

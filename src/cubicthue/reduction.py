@@ -16,15 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubicfield import DEFAULT_PRECISION, FieldElement
-from .errors import (
-    DegenerateN,
-    PrecisionExhausted,
-    TrivialXY,
-    ZeroElement,
-    ZeroValue,
-)
+from .errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
 from .family import FormFamily, form_at
-from .intervals import RI, bits_for_width, ri_log
+from .intervals import RI, bits_for_width, refine, ri_log
 
 BALANCE_TOL = Fraction(1, 10**9)
 
@@ -52,14 +46,13 @@ def _is_exact_tie(gamma: FieldElement, eps: FieldElement, m: Fraction,
 
 def _choose_ell(fam: FormFamily, gamma: FieldElement, m: Fraction) -> int:
     eps = fam.epsilon
-    bits = 64
-    while bits <= 1 << 16:
+
+    def step(bits: int) -> int | None:
         width = Fraction(1, 1 << bits)
         reg = ri_log(eps.real_embedding(width), bits)
         gr = abs(gamma.real_embedding(width))
         if not gr.is_positive():
-            bits *= 2
-            continue
+            return None
         t = (ri_log(gr, bits) - ri_log(RI.point(m), bits) / 3) / reg
         # candidate integers whose nearness window meets the enclosure of t
         lo = math.ceil(t.lo - _HALF)
@@ -68,8 +61,9 @@ def _choose_ell(fam: FormFamily, gamma: FieldElement, m: Fraction) -> int:
             return lo
         if hi == lo + 1 and _is_exact_tie(gamma, eps, m, lo):
             return lo  # exact halfway point: take the smaller index
-        bits *= 2
-    raise PrecisionExhausted("balancing exponent undecidable")
+        return None
+
+    return refine(step, 64, "balancing exponent undecidable")
 
 
 def unit_reduce(fam: FormFamily, gamma: FieldElement,
@@ -79,8 +73,9 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement,
         raise ZeroElement("cannot reduce zero")
     m = abs(gamma.norm())
     ell = _choose_ell(fam, gamma, m)
-    xi = (fam.epsilon ** (-ell)) * gamma
-    assert (fam.epsilon ** ell) * xi == gamma
+    u = fam.epsilon ** ell
+    xi = u.inverse() * gamma
+    assert u * xi == gamma
     balance = _balance(fam, xi, m, precision)
     return Decomposition(ell, xi, m, balance)
 
@@ -88,21 +83,19 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement,
 def _balance(fam: FormFamily, xi: FieldElement, m: Fraction, precision) -> RI:
     """max over the three embeddings of |log(|embedding| / m^(1/3))|."""
     target = Fraction(precision)
-    bits = bits_for_width(target)
-    while True:
-        width = Fraction(1, 1 << bits)
-        real, cplx = xi.embed(width)
-        log_m3 = ri_log(RI.point(m), bits) / 3
-        log_real = ri_log(abs(real), bits) if abs(real).is_positive() else None
+
+    def step(bits: int) -> RI | None:
+        real, cplx = xi.embed(Fraction(1, 1 << bits))
         cabs2 = cplx.abs2()
-        if log_real is None or not cabs2.is_positive():
-            bits *= 2
-            continue
+        if not abs(real).is_positive() or not cabs2.is_positive():
+            return None
+        log_m3 = ri_log(RI.point(m), bits) / 3
+        log_real = ri_log(abs(real), bits)
         log_cplx = ri_log(cabs2, bits) / 2
         result = abs(log_real - log_m3).max_with(abs(log_cplx - log_m3))
-        if result.width <= target:
-            return result
-        bits *= 2
+        return result if result.width <= target else None
+
+    return refine(step, bits_for_width(target), "balance did not certify")
 
 
 @dataclass(frozen=True, slots=True)

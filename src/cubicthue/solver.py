@@ -52,6 +52,7 @@ import mpmath
 from .cubicfield import DEFAULT_PRECISION, FieldElement
 from .errors import PrecisionExhausted
 from .family import BinaryCubicForm, FormFamily, form_at, norm_form
+from .intervals import CBox, RI, refine
 from .reduction import Decomposition, unit_reduce
 from .reporting import frac_str, ri_json
 
@@ -226,14 +227,12 @@ def _stripe_data(beta: FieldElement, spec: SearchSpec) -> _Anchors:
     y_scan bounds Y* = max(8k/g^2, (2k/(g Im^2))^(1/3)) from above, where
     g = |b - b'| and Im = |Im b'| enter through lower bounds."""
     shift = 64 + max(48, (2 * spec.y_max).bit_length() + 100)
-    width = Fraction(1, 1 << shift)
-    for _ in range(8):
-        real, cplx = beta.embed(width)
-        if cplx.im.sign_definite():
-            break
-        width /= 1 << 64
-    else:
-        raise PrecisionExhausted(f"imaginary part not separated for {beta}")
+
+    def step(bits: int) -> tuple[RI, CBox] | None:
+        real, cplx = beta.embed(Fraction(1, 1 << bits))
+        return (real, cplx) if cplx.im.sign_definite() else None
+
+    real, cplx = refine(step, shift, f"imaginary part not separated for {beta}")
     scale = 1 << shift
     im2 = abs(cplx.im).lo ** 2
     # dyadic lower bound num2 / 2^s2 <= Im^2, with num2 > 0

@@ -10,8 +10,8 @@ case where T2 and T3 dominate, the associated linear form in logarithms
 together with its integer period count h.
 
 All case decisions run on certified intervals with automatic precision
-escalation; a decision that cannot be made at the configured cap raises
-instead of guessing.
+escalation; a decision that cannot be made at the precision cap
+(`intervals.MAX_BITS`) raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ from .errors import (
     PrecisionExhausted,
 )
 from .family import FormFamily, form_at
-from .heights import HeightReport, _to_int_primitive, height_from_conjugates
+from .heights import HeightReport, height_from_conjugates, to_int_primitive
 from .reduction import Decomposition, decompose_solution
 from .intervals import (
     CBox,
     RI,
     bits_for_width,
+    refine,
     ri_exp,
     ri_log,
     ri_pi,
@@ -50,8 +51,6 @@ from .reporting import cbox_json, frac_str, ri_json
 CASE_T1T2 = "T1T2_dominant"
 CASE_T1T3 = "T1T3_dominant"
 CASE_T2T3 = "T2T3_dominant"
-
-_MAX_BITS = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +144,8 @@ def family_angles(fam: FormFamily,
                   precision=DEFAULT_PRECISION) -> tuple[RI, RI]:
     """(delta, theta): angles of the complex images of alpha and epsilon."""
     target = Fraction(precision)
-    bits = bits_for_width(target)
-    while True:
+
+    def step(bits: int) -> tuple[RI, RI] | None:
         width = Fraction(1, 1 << bits)
         _, abox = fam.alpha.embed(width)
         _, ebox = fam.epsilon.embed(width)
@@ -155,9 +154,9 @@ def family_angles(fam: FormFamily,
         if (delta is not None and theta is not None
                 and delta.width <= target and theta.width <= target):
             return delta, theta
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise PrecisionExhausted("family angles did not certify")
+        return None
+
+    return refine(step, bits_for_width(target), "family angles did not certify")
 
 
 # -- ordering ---------------------------------------------------------------------
@@ -264,27 +263,33 @@ def siegel_terms(fam: FormFamily, n: int, dec: Decomposition,
     """Certified trace of the vanishing three-term identity for a solution."""
     target = Fraction(precision)
     degenerate = _exact_zero_terms(fam, n, dec)
-    bits = bits_for_width(target)
-    ordering = None
-    while True:
+    ambiguous = False  # did the last try fail only on the ordering?
+
+    def step(bits: int):
+        nonlocal ambiguous
         data = _term_boxes(fam, n, dec, bits)
-        if not data["retry"]:
-            terms = list(data["t"])
-            for i, name in enumerate(("T1", "T2", "T3")):
-                if name in degenerate:
-                    terms[i] = CBox.point(0)
-            re_ok = all(t.re.contains_zero() and t.re.width <= target
-                        for t in terms)
-            abs_terms = tuple(t.abs(bits) for t in terms)
-            ordering = order_terms(*abs_terms)
-            if re_ok and ordering is not None:
-                break
-        bits *= 2
-        if bits > _MAX_BITS:
-            if not data["retry"] and ordering is None:
-                raise AmbiguousOrdering(
-                    "term magnitudes overlap at maximum precision")
-            raise PrecisionExhausted("trace could not be certified")
+        ambiguous = False
+        if data["retry"]:
+            return None
+        terms = [CBox.point(0) if name in degenerate else t
+                 for name, t in zip(("T1", "T2", "T3"), data["t"])]
+        re_ok = all(t.re.contains_zero() and t.re.width <= target
+                    for t in terms)
+        abs_terms = tuple(t.abs(bits) for t in terms)
+        ordering = order_terms(*abs_terms)
+        ambiguous = ordering is None
+        if re_ok and ordering is not None:
+            return bits, data, terms, abs_terms, ordering
+        return None
+
+    try:
+        bits, data, terms, abs_terms, ordering = refine(
+            step, bits_for_width(target), "trace could not be certified")
+    except PrecisionExhausted:
+        if ambiguous:
+            raise AmbiguousOrdering(
+                "term magnitudes overlap at maximum precision") from None
+        raise
     t1, t2, t3 = terms
     sines = data["sines"]
     theta, delta, v = data["angles"]
@@ -490,8 +495,7 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
     mu_sq = None if mu_split.is_zero() else mu_split * mu_split
     w_sq = None if w_split.is_zero() else w_split * w_split
 
-    bits = bits_for_width(target)
-    while True:
+    def step(bits: int):
         width = Fraction(1, 1 << bits)
         eps_r, eps_c = fam.epsilon.embed(width)
         beta_r, beta_c = beta.embed(width)
@@ -499,29 +503,29 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
         rho = CBox.from_real(xi_r) * (beta_c - beta_c.conj())
         mu = xi_c * (beta_c.conj() - CBox.from_real(beta_r))
         w = mu * eps_c.pow_int(ell)
-        if bits > _MAX_BITS:
-            raise PrecisionExhausted("period count h could not be pinned")
         if w.contains_zero():
-            bits *= 2
-            continue
+            return None
         q = w.conj() / w
         q1 = eps_c.conj() / eps_c
         nu = _angle01(q1, bits, None, None)
         theta_n = _angle01(mu.conj() / mu, bits, mu_sq, alg)
         lam_arg = _principal_arg(q, bits, w_sq, alg)
         if nu is None or theta_n is None or lam_arg is None:
-            bits *= 2
-            continue
+            return None
         two_pi = 2 * ri_pi(bits)
         big_lambda = CBox(ri_log(q.abs2(), bits) / 2, lam_arg)
         h_interval = (big_lambda.im - two_pi * (ell * nu + theta_n)) / two_pi
         h = _unique_integer(h_interval)
         ok_width = (big_lambda.width <= target and nu.width <= target
                     and theta_n.width <= target)
-        if h is not None and ok_width:
-            break
-        bits *= 2
+        if h is None or not ok_width:
+            return None
+        return (bits, eps_r, xi_r, xi_c, rho, mu, w, q, nu, theta_n, two_pi,
+                big_lambda, h)
 
+    (bits, eps_r, xi_r, xi_c, rho, mu, w, q, nu, theta_n, two_pi, big_lambda,
+     h) = refine(step, bits_for_width(target),
+                 "period count h could not be pinned")
     lambda1 = CBox(RI.point(0), two_pi * nu)
     lambda2 = CBox(RI.point(0), two_pi * theta_n)
 
@@ -562,7 +566,7 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
         empirical_constant=kappa49))
 
     mp = alg.min_poly(mu_split)
-    lead = _to_int_primitive(mp)[0]
+    lead = to_int_primitive(mp)[0]
     mu_height = height_from_conjugates(lead, alg.embeddings(mu_split, bits),
                                        len(mp) - 1, precision)
     return LambdaData(rho, mu, lambda1, lambda2, big_lambda, h, nu, theta_n,

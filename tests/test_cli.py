@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cubicthue.cli
 from cubicthue.cli import main
 from cubicthue.config import PRECISION_ENV, load_config
 from cubicthue.family import example_family, family_to_json
@@ -121,6 +124,20 @@ def test_trace_value_out_of_range_exit_4(capsys):
     assert "not a solution" in err
 
 
+def test_trace_ambiguous_ordering_exit_3(capsys, monkeypatch):
+    from cubicthue.errors import AmbiguousOrdering
+
+    def ambiguous(*args, **kwargs):
+        raise AmbiguousOrdering("term magnitudes overlap at maximum precision")
+
+    monkeypatch.setattr(cubicthue.cli, "trace_certificate", ambiguous)
+    code, out, err = run_cli(capsys, "trace", "--D", "1", "--n", "0",
+                             "--x", "1", "--y", "-1", "--k", "2")
+    assert code == 3
+    assert out == ""
+    assert "precision exhausted" in err
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -148,6 +165,14 @@ def test_verify_family_file_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--family-file", str(path))
     assert code == 0
     assert "[file]" in out
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is only the reference route of mahler_measure; startup skips it
+    src = os.path.dirname(os.path.dirname(cubicthue.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cubicthue; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # -- config -------------------------------------------------------------------

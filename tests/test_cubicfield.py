@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubicthue.cubicfield import (
     FieldElement,
     SplittingAlgebra,
-    arith,
-    embed,
+    has_rational_root,
     house,
     make_field,
-    norm,
-    trace,
 )
 from cubicthue.errors import (
     DivisionByZero,
@@ -80,13 +79,42 @@ def test_make_field_rejects_nonmonic():
         make_field([2, 0, 0, -3])
 
 
+_coeff = st.integers(-40, 40)
+_nonzero = _coeff.filter(bool)
+
+
+@st.composite
+def _cubics(draw):
+    """Integer cubics with a0 != 0; half of them have a rational root."""
+    if draw(st.booleans()):
+        # (p X - q)(a X^2 + b X + c) has the root q/p by construction
+        p, a = draw(_nonzero), draw(_nonzero)
+        q, b, c = draw(_coeff), draw(_coeff), draw(_coeff)
+        return (p * a, p * b - q * a, p * c - q * b, -q * c)
+    return (draw(_nonzero), draw(_coeff), draw(_coeff), draw(_coeff))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cubics())
+@example((1, 0, 0, -8))
+@example((6, -5, -2, 1))
+@example((4, 0, 0, -1))
+def test_has_rational_root_matches_sympy(coeffs):
+    # oracle: sympy's rational roots, imported here only
+    import sympy
+
+    x = sympy.Symbol("x")
+    expected = bool(sympy.roots(sympy.Poly(list(coeffs), x), filter="Q"))
+    assert has_rational_root(coeffs) == expected
+
+
 # -- arithmetic -----------------------------------------------------------------
 
 
 def test_mul_inverse_is_one():
     field = make_field([1, 0, 0, -2])
     x = field.element(Fraction(3, 4), 2, Fraction(-1, 5))
-    assert arith(x, x.inverse(), "mul") == field.one()
+    assert x * x.inverse() == field.one()
 
 
 def test_defining_relation():
@@ -105,7 +133,7 @@ def test_ring_identity():
 def test_division_by_zero():
     field = make_field([1, 0, 0, -2])
     with pytest.raises(DivisionByZero):
-        arith(field.one(), field.zero(), "div")
+        field.one() / field.zero()
 
 
 def test_exactness_add_sub_roundtrip():
@@ -125,18 +153,18 @@ def test_exactness_add_sub_roundtrip():
 
 
 def test_unit_norm_is_one(fam1):
-    assert norm(fam1.epsilon) == 1
+    assert fam1.epsilon.norm() == 1
 
 
 def test_trace_epsilon_d2(fam2):
     # oracle: e1 of X^3 - 3 D^2 X^2 - 3 D X - 1 is 3 D^2 = 12
-    assert trace(fam2.epsilon) == 12
+    assert fam2.epsilon.trace() == 12
 
 
 def test_trace_of_rational():
     field = make_field([1, 0, 0, -2])
-    assert trace(field.one()) == 3
-    assert norm(field.element(5)) == 125
+    assert field.one().trace() == 3
+    assert field.element(5).norm() == 125
 
 
 def test_norm_trace_match_embeddings():
@@ -148,11 +176,11 @@ def test_norm_trace_match_embeddings():
         x = field.element(*(rng.randint(-100, 100) for _ in range(3)))
         if x.is_zero():
             continue
-        real, cplx = embed(x, P30)
+        real, cplx = x.embed(P30)
         prod = real * cplx.abs2()
         total = real + 2 * cplx.re
-        assert prod.contains(norm(x))
-        assert total.contains(trace(x))
+        assert prod.contains(x.norm())
+        assert total.contains(x.trace())
 
 
 # -- embeddings -------------------------------------------------------------------
@@ -162,14 +190,14 @@ def test_embed_epsilon_d1(fam1):
     # oracle: 50-digit root of X^3 - 3X^2 - 3X - 1 via mpmath
     with mpmath.workdps(50):
         target = mpmath.polyroots([1, -3, -3, -1])[0]
-        real, _ = embed(fam1.epsilon, P12)
+        real, _ = fam1.epsilon.embed(P12)
         assert float(real.lo) <= float(target) <= float(real.hi)
     assert real.width <= P12
     assert str(float(real.mid)).startswith("3.8473221018630")
 
 
 def test_embed_conjugate_modulus_relation(fam1):
-    real, cplx = embed(fam1.epsilon, P30)
+    real, cplx = fam1.epsilon.embed(P30)
     from cubicthue.intervals import ri_sqrt
 
     lhs = cplx.abs(140)
@@ -180,15 +208,15 @@ def test_embed_conjugate_modulus_relation(fam1):
 
 def test_embed_rational_is_exact():
     field = make_field([1, 3, 3, -1])
-    real, cplx = embed(field.one(), Fraction(1, 10))
+    real, cplx = field.one().embed(Fraction(1, 10))
     assert real == __import__("cubicthue").intervals.RI.point(1)
     assert cplx.re.width == 0 and cplx.im.width == 0
 
 
 def test_embed_monotone_refinement(fam1):
     x = fam1.epsilon * fam1.epsilon - 3
-    coarse_r, coarse_c = embed(x, Fraction(1, 10**10))
-    fine_r, fine_c = embed(x, Fraction(1, 10**20))
+    coarse_r, coarse_c = x.embed(Fraction(1, 10**10))
+    fine_r, fine_c = x.embed(Fraction(1, 10**20))
     assert coarse_r.lo <= fine_r.lo and fine_r.hi <= coarse_r.hi
     assert coarse_c.re.lo <= fine_c.re.lo and fine_c.re.hi <= coarse_c.re.hi
     assert coarse_c.im.lo <= fine_c.im.lo and fine_c.im.hi <= coarse_c.im.hi

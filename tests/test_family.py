@@ -14,7 +14,6 @@ from cubicthue.family import (
     family_from_json,
     family_to_json,
     form_at,
-    negative_n_swap,
     normalize,
     swap_identity_check,
 )
@@ -176,23 +175,23 @@ def test_swap_identity_range_d2(fam2):
         assert ok, witness
 
 
-# -- negative_n_swap ---------------------------------------------------------------
+# -- the negative-index variable swap -------------------------------------------------
 
 
 def test_negative_n_swap_reverses():
     form = BinaryCubicForm(1, -3, -3, -1)
-    assert negative_n_swap(form).coefficients == (-1, -3, -3, 1)
+    assert form.swapped().coefficients == (-1, -3, -3, 1)
 
 
 def test_negative_n_swap_involution():
     form = BinaryCubicForm(2, 5, -7, 11)
-    assert negative_n_swap(negative_n_swap(form)) == form
+    assert form.swapped().swapped() == form
 
 
 def test_negative_n_swap_evaluation():
     rng = random.Random(9)
     form = BinaryCubicForm(1, -12, -6, -1)
-    swapped = negative_n_swap(form)
+    swapped = form.swapped()
     for _ in range(100):
         x, y = rng.randint(-99, 99), rng.randint(-99, 99)
         assert swapped.evaluate(x, y) == form.evaluate(y, x)

@@ -14,7 +14,9 @@ from cubicthue.heights import (
     height_from_conjugates,
     mahler_measure,
     regulator,
+    to_int_primitive,
 )
+from cubicthue.intervals import ri_log
 
 P12 = Fraction(1, 10**12)
 P20 = Fraction(1, 10**20)
@@ -141,9 +143,13 @@ def test_height_from_conjugates_matches_minpoly_route(fam1):
     mp_z = alg.min_poly(z)
     via_conj = height_from_conjugates(1, alg.embeddings(z, 200), len(mp_z) - 1,
                                       P12)
-    via_roots = abs_log_height(fam1.epsilon - 3, P12)
-    # sigma(eps) - 3 is a conjugate of eps - 3: same height
-    assert via_conj.height.overlaps(via_roots.height)
+    via_embed = abs_log_height(fam1.epsilon - 3, P12)
+    # the isolated-root route: log M of the primitive minimal polynomial / 3
+    mahler = mahler_measure(to_int_primitive(mp_z), P12)
+    via_roots = ri_log(mahler, 60) / 3
+    # sigma(eps) - 3 is a conjugate of eps - 3: same height on every route
+    assert via_conj.height.overlaps(via_roots)
+    assert via_embed.height.overlaps(via_roots)
 
 
 # -- regulator ---------------------------------------------------------------------

@@ -7,7 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cubicthue.errors import PrecisionExhausted
 from cubicthue.intervals import (
+    MAX_BITS,
     CBox,
     RI,
     bits_for_width,
@@ -18,6 +20,7 @@ from cubicthue.intervals import (
     ri_exp,
     ri_log,
     ri_pi,
+    refine,
     ri_root,
     ri_sin,
     ri_sqrt,
@@ -111,6 +114,54 @@ def test_bits_for_width():
     assert bits_for_width(Fraction(1, 10**30)) >= 100
     with pytest.raises(ValueError):
         bits_for_width(0)
+
+
+# -- refine ----------------------------------------------------------------------
+
+
+def _recording_step(succeed_at):
+    """A step that fails below `succeed_at` bits and logs every try."""
+    tries = []
+
+    def step(bits):
+        tries.append(bits)
+        return ("done", bits) if bits >= succeed_at else None
+
+    return step, tries
+
+
+def test_refine_doubles_from_the_given_bits():
+    step, tries = _recording_step(200)
+    assert refine(step, 30, "x") == ("done", 240)
+    assert tries == [30, 60, 120, 240]
+
+
+def test_refine_returns_the_first_result():
+    step, tries = _recording_step(0)
+    assert refine(step, 77, "x") == ("done", 77)
+    assert tries == [77]
+    # falsy results other than None count as found
+    assert refine(lambda bits: 0, 24, "x") == 0
+
+
+def test_refine_first_try_runs_above_the_cap():
+    step, tries = _recording_step(0)
+    assert refine(step, 3 * MAX_BITS, "x") == ("done", 3 * MAX_BITS)
+    step, tries = _recording_step(10**9)
+    with pytest.raises(PrecisionExhausted, match="above the cap"):
+        refine(step, 3 * MAX_BITS, "above the cap")
+    assert tries == [3 * MAX_BITS]
+
+
+def test_refine_raises_past_the_cap():
+    step, tries = _recording_step(10**9)
+    with pytest.raises(PrecisionExhausted, match="never certified"):
+        refine(step, 64, "never certified")
+    assert tries[0] == 64 and tries[-1] == MAX_BITS
+    assert all(b == 2 * a for a, b in zip(tries, tries[1:]))
+    # the cap itself is reached and tried, nothing above it
+    step, tries = _recording_step(MAX_BITS)
+    assert refine(step, MAX_BITS // 8, "x") == ("done", MAX_BITS)
 
 
 def _cmul(a, b):
