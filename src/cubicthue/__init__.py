@@ -1,15 +1,6 @@
 """Exact arithmetic and proof auditing for unit-indexed cubic Thue families."""
 
-from .bounds import (
-    BakerConfig,
-    CalibrationResult,
-    calibrate_c2,
-    lemma3a_margin,
-    lemma3b_margin,
-    prop1_bound,
-    prop2_bound,
-    sine_bound,
-)
+from .bounds import CalibrationResult, calibrate_c2
 from .cubicfield import (
     CubicField,
     FieldElement,

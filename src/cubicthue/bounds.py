@@ -1,14 +1,11 @@
-"""Diophantine lower-bound formulas and empirical sine-bound calibration.
+"""Empirical calibration of the sine lower bound.
 
-The two bound formulas are evaluated exactly as stated, with their leading
-constants supplied by configuration: the underlying theory only asserts that
-explicit constants exist, so the defaults here (1.0) are documented
-placeholders wired for structure and monotonicity, not proven values.
-
-The sine calibration scans |sin(delta1 + n delta2)| with certified
-enclosures and returns the smallest exponent c for which
-|sin| * (|n| + 2)^c >= 1 holds at every certified index; indices whose sine
-enclosure straddles zero are reported as skipped rather than guessed.
+`calibrate_c2` scans |sin(delta1 + n delta2)| with certified enclosures and
+returns the smallest exponent c for which |sin| * (|n| + 2)^c >= 1 holds at
+every certified index; indices whose sine enclosure straddles zero are
+reported as skipped rather than guessed.  The exponent is measured, not
+proven: no lower bound for linear forms in logarithms is evaluated here,
+because such a bound is only as certified as its explicit constants.
 """
 
 from __future__ import annotations
@@ -18,56 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubicfield import DEFAULT_PRECISION
-from .errors import DegenerateAngle, InvalidParameters, OutOfDomain
-from .intervals import CBox, RI, bits_for_width, cbox_exp, cbox_log, ri_log
-
-_E = math.e
-
-
-@dataclass(frozen=True, slots=True)
-class BakerConfig:
-    """Leading constants for the lower-bound formulas (placeholders)."""
-
-    c0: float = 1.0
-    c1: float = 1.0
-    c2_default: float = 2.0
-
-    def __post_init__(self):
-        if self.c0 <= 0 or self.c1 <= 0 or self.c2_default <= 0:
-            raise InvalidParameters("Baker constants must be positive")
-
-
-def prop1_bound(cfg: BakerConfig, degree: int, log_a0: float, log_a1: float,
-                log_a2: float, big_b: float) -> float:
-    """exp(-c0 D^5 log(D) logA0 logA1 logA2 log B) for a three-log form."""
-    if degree < 1:
-        raise InvalidParameters("degree must be >= 1")
-    for name, value in (("logA0", log_a0), ("logA1", log_a1), ("logA2", log_a2)):
-        if value < 1.0 / degree:
-            raise InvalidParameters(f"{name} = {value} below 1/D")
-    if big_b < _E or big_b < degree:
-        raise InvalidParameters(f"B = {big_b} below max(e, D)")
-    exponent = (cfg.c0 * degree**5 * math.log(degree)
-                * log_a0 * log_a1 * log_a2 * math.log(big_b))
-    return math.exp(-exponent)
-
-
-def prop2_bound(cfg: BakerConfig, h1: float, h2: float, big_b: float) -> float:
-    """exp(-c1 log(B) logA1 logA2) with log A_i = max(e, h_i)."""
-    if h1 < 0 or h2 < 0:
-        raise InvalidParameters("heights are nonnegative")
-    if big_b < 2:
-        raise InvalidParameters(f"B = {big_b} below 2")
-    log_a1 = max(_E, h1)
-    log_a2 = max(_E, h2)
-    return math.exp(-cfg.c1 * math.log(big_b) * log_a1 * log_a2)
-
-
-def sine_bound(n: int, c2: float) -> float:
-    """(|n| + 2)^(-c2), the calibrated sine lower bound."""
-    if c2 <= 0:
-        raise InvalidParameters("c2 must be positive")
-    return (abs(n) + 2) ** (-c2)
+from .errors import DegenerateAngle, InvalidParameter
+from .intervals import RI, bits_for_width, ri_log, ri_sin
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +51,8 @@ def calibrate_c2(delta1: RI, delta2: RI, n_max: int,
     cannot be certified nonzero at this precision (it may lie in Z*pi) and
     is skipped and reported."""
     if n_max < 1:
-        raise InvalidParameters("n_max must be >= 1")
+        raise InvalidParameter("n_max must be >= 1")
     bits = bits_for_width(Fraction(precision))
-    from .intervals import ri_sin
 
     best = 0.0
     worst_n = 0
@@ -130,67 +78,3 @@ def calibrate_c2(delta1: RI, delta2: RI, n_max: int,
     return CalibrationResult(delta1, delta2, n_max, c2, tuple(skipped),
                              worst_n, checked)
 
-
-def unit_circle_point(z: CBox, bits: int) -> CBox:
-    """z / |z|: certified enclosure of the unit-circle projection."""
-    return z / z.abs(bits)
-
-
-@dataclass(frozen=True, slots=True)
-class ChainCheck:
-    """Both readings of the sine-vs-two-log chain inequality at one index.
-
-    With ell the nearest integer to (delta1 + n delta2)/pi, the identity
-    2 |sin| = |g1 g2^n - 1| * |g1 g2^n + 1| gives
-
-        |sin(delta1 + n delta2)| >= (sqrt(2)/2) |(-1)^ell g1 g2^n - 1|
-
-    unconditionally, because the cofactor |(-1)^ell g1 g2^n + 1| is at
-    least sqrt(2) by the choice of ell.  Dropping the (-1)^ell (the form
-    the chain is usually quoted in) is valid only when ell is even; for
-    odd ell the uncorrected right-hand side exceeds 1 while the sine can
-    be small, so `margin_literal` goes negative on roughly half of all
-    indices.  `margin_corrected` is the unconditional statement."""
-
-    n: int
-    ell_parity: int
-    margin_corrected: RI
-    margin_literal: RI
-
-
-def sine_chain_check(delta1: RI, delta2: RI, gamma1: CBox, gamma2: CBox,
-                     n: int, bits: int) -> ChainCheck:
-    """Evaluate the chain inequality with certified enclosures."""
-    from .intervals import ri_pi, ri_sin, ri_sqrt
-
-    phi = delta1 + n * delta2
-    ratio = phi / ri_pi(bits)
-    ell = math.floor(ratio.mid + Fraction(1, 2))
-    if not (ratio - ell).hi < Fraction(1, 2) or not (ratio - ell).lo > -Fraction(1, 2):
-        raise DegenerateAngle(f"angle at n={n} too close to Z*pi to certify")
-    lhs = abs(ri_sin(phi, bits))
-    prod = gamma1 * gamma2.pow_int(n, round_bits=4 * bits)
-    half_sqrt2 = ri_sqrt(RI.point(2), bits) / 2
-    literal = lhs - half_sqrt2 * (prod - CBox.point(1)).abs(bits)
-    signed = prod if ell % 2 == 0 else -prod
-    corrected = lhs - half_sqrt2 * (signed - CBox.point(1)).abs(bits)
-    return ChainCheck(n, ell % 2, corrected, literal)
-
-
-def lemma3a_margin(t: CBox, precision=DEFAULT_PRECISION) -> RI:
-    """|t| max(1, |e^t|) - |e^t - 1|, nonnegative for every complex t."""
-    bits = bits_for_width(Fraction(precision))
-    et = cbox_exp(t, bits)
-    lhs = (et - CBox.point(1)).abs(bits)
-    rhs = t.abs(bits) * et.abs(bits).max_with(1)
-    return rhs - lhs
-
-
-def lemma3b_margin(z: CBox, precision=DEFAULT_PRECISION) -> RI:
-    """2|z - 1| - |log z| for |z - 1| < 1/2 (principal logarithm)."""
-    bits = bits_for_width(Fraction(precision))
-    dist = (z - CBox.point(1)).abs(bits)
-    if not dist.hi < Fraction(1, 2):
-        raise OutOfDomain(f"|z - 1| not certified < 1/2 (enclosure {dist})")
-    lg = cbox_log(z, bits)
-    return 2 * dist - lg.abs(bits)

@@ -58,10 +58,6 @@ class InvalidParameter(CubicThueError):
     """Parameter outside the documented domain."""
 
 
-class InvalidParameters(InvalidParameter):
-    """Bound-formula inputs violate the stated hypotheses."""
-
-
 class PrecisionExhausted(CubicThueError):
     """Requested certification not reachable within the precision cap."""
 
@@ -72,7 +68,3 @@ class AmbiguousOrdering(PrecisionExhausted):
 
 class NotThirdCase(CubicThueError):
     """Logarithm machinery requires a trace classified with T2, T3 dominant."""
-
-
-class OutOfDomain(CubicThueError):
-    """Input outside the validity domain of the inequality."""

@@ -2,11 +2,11 @@
 
 Field arithmetic elsewhere in the package is exact; enclosures enter only
 through root isolation and transcendental functions.  The interval type here
-keeps `Fraction` endpoints so that all ring operations are themselves exact
-(outward rounding is explicit, via `round_out`).  Transcendental enclosures
-(log, exp, sin, cos, atan2, sqrt, n-th root, pi) are delegated to mpmath's
-interval context at a caller-chosen binary precision and converted back to
-exact rational endpoints, so every returned interval is a true enclosure.
+keeps `Fraction` endpoints so that all ring operations are themselves
+exact.  Transcendental enclosures (log, exp, sin, cos, atan2, sqrt, n-th
+root, pi) are delegated to mpmath's interval context at a caller-chosen
+binary precision and converted back to exact rational endpoints, so every
+returned interval is a true enclosure.
 """
 
 from __future__ import annotations
@@ -223,14 +223,6 @@ class RI:
         o = self._coerce(other)
         return RI(min(self.lo, o.lo), min(self.hi, o.hi))
 
-    def round_out(self, bits: int) -> "RI":
-        """Outward rounding to the dyadic grid of step 2^-bits.
-
-        Caps endpoint size after long operation chains; always encloses."""
-        scale = 1 << bits
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(math.ceil(self.hi * scale), scale)
-        return RI(lo, hi)
 
 
 # -- mpmath bridge -----------------------------------------------------------
@@ -389,31 +381,22 @@ class CBox:
     def __rtruediv__(self, other) -> "CBox":
         return self._coerce(other) * self.recip()
 
-    def pow_int(self, n: int, round_bits: int | None = None) -> "CBox":
-        """Integer power by binary exponentiation.
-
-        `round_bits` bounds endpoint size during long chains."""
+    def pow_int(self, n: int) -> "CBox":
+        """Integer power by binary exponentiation."""
         if n == 0:
             return CBox.point(1)
         if n < 0:
-            return self.pow_int(-n, round_bits).recip()
+            return self.pow_int(-n).recip()
         result = CBox.point(1)
         base = self
         e = n
         while e:
             if e & 1:
                 result = result * base
-                if round_bits is not None:
-                    result = result.round_out(round_bits)
             e >>= 1
             if e:
                 base = base * base
-                if round_bits is not None:
-                    base = base.round_out(round_bits)
         return result
-
-    def round_out(self, bits: int) -> "CBox":
-        return CBox(self.re.round_out(bits), self.im.round_out(bits))
 
     def intersect(self, other: "CBox") -> "CBox":
         return CBox(self.re.intersect(other.re), self.im.intersect(other.im))
@@ -423,16 +406,3 @@ class CBox:
 
         Wide (full circle) if the box straddles the negative real axis."""
         return ri_atan2(self.im, self.re, bits)
-
-
-def cbox_exp(z: CBox, bits: int) -> CBox:
-    r = ri_exp(z.re, bits)
-    return CBox(r * ri_cos(z.im, bits), r * ri_sin(z.im, bits))
-
-
-def cbox_log(z: CBox, bits: int) -> CBox:
-    """Principal logarithm enclosure; requires a zero-free box."""
-    a2 = z.abs2()
-    if a2.contains_zero():
-        raise ZeroDivisionError(f"log of box {z} possibly containing zero")
-    return CBox(ri_log(a2, bits) / 2, z.arg(bits))

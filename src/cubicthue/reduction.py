@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cubicfield import DEFAULT_PRECISION, FieldElement
 from .errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
-from .family import FormFamily, form_at
+from .family import FormFamily, norm_form
 from .intervals import RI, bits_for_width, refine, ri_log
 
 BALANCE_TOL = Fraction(1, 10**9)
@@ -98,44 +98,36 @@ def _balance(fam: FormFamily, xi: FieldElement, m: Fraction, precision) -> RI:
     return refine(step, bits_for_width(target), "balance did not certify")
 
 
-@dataclass(frozen=True, slots=True)
-class HouseBoundReport:
-    """Empirical exponent for the house bound on the balanced part.
+def house_exponent(abs_real: RI, abs_cplx: RI, log_k: RI, bits: int) -> RI:
+    """kappa9_emp = log(max{house(xi), 1/|xi|, 1/|xi'|}) / log k.
 
-    kappa9_emp is log(max{house(xi), 1/|xi|, 1/|xi'|}) / log k; bounded
-    uniformly over a sweep when the reduction is doing its job."""
-
-    house_xi: RI
-    inv_real: RI
-    inv_cplx: RI
-    kappa9_emp: RI | None
+    Takes the moduli of the real and complex images of xi; bounded uniformly
+    over a sweep when the reduction is doing its job."""
+    top = (abs_real.max_with(abs_cplx).max_with(abs_real.recip())
+           .max_with(abs_cplx.recip()))
+    return ri_log(top, bits) / log_k
 
 
 def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
                        k: int | None = None,
                        precision=DEFAULT_PRECISION) -> tuple[Decomposition,
-                                                             HouseBoundReport]:
-    """Decomposition of gamma = x - epsilon^n * alpha * y for a solution."""
+                                                             RI | None]:
+    """Decomposition of gamma = x - epsilon^n * alpha * y for a solution.
+
+    Returned with its `house_exponent` for k >= 2, else None."""
     if x == 0 or y == 0:
         raise TrivialXY(f"(x, y) = ({x}, {y})")
-    if fam.is_degenerate_index(n):
+    beta = fam.beta(n)
+    if beta.is_rational():
         raise DegenerateN(f"epsilon^{n} * alpha is rational")
-    value = form_at(fam, n).evaluate(x, y)
+    value = norm_form(beta).evaluate(x, y)
     if value == 0:
         raise ZeroValue(f"F_{n}({x}, {y}) = 0")
-    beta = fam.beta(n)
-    gamma = (-y) * beta + x
-    m = abs(gamma.norm())
-    assert m == abs(Fraction(value)), "norm and form value disagree"
-    dec = unit_reduce(fam, gamma, precision)
-    target = Fraction(precision)
-    bits = bits_for_width(target)
+    dec = unit_reduce(fam, (-y) * beta + x, precision)
+    assert dec.norm_abs == abs(value), "norm and form value disagree"
+    if k is None or k < 2:
+        return dec, None
+    bits = bits_for_width(Fraction(precision))
     real, cplx = dec.xi.embed(Fraction(1, 1 << bits))
-    house_xi = abs(real).max_with(cplx.abs(bits))
-    inv_real = abs(real).recip()
-    inv_cplx = cplx.abs(bits).recip()
-    kappa9 = None
-    if k is not None and k >= 2:
-        top = house_xi.max_with(inv_real).max_with(inv_cplx)
-        kappa9 = ri_log(top, bits) / ri_log(RI.point(k), bits)
-    return dec, HouseBoundReport(house_xi, inv_real, inv_cplx, kappa9)
+    return dec, house_exponent(abs(real), cplx.abs(bits),
+                               ri_log(RI.point(k), bits), bits)

@@ -51,7 +51,7 @@ import mpmath
 
 from .cubicfield import DEFAULT_PRECISION, FieldElement
 from .errors import PrecisionExhausted
-from .family import BinaryCubicForm, FormFamily, form_at, norm_form
+from .family import BinaryCubicForm, FormFamily, norm_form
 from .intervals import CBox, RI, refine
 from .reduction import Decomposition, unit_reduce
 from .reporting import frac_str, ri_json
@@ -87,7 +87,6 @@ class SolutionRecord:
     primitive: bool
     degenerate: bool = False
     decomposition: Decomposition | None = None
-    trace_ref: str | None = None
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -146,13 +145,11 @@ def _finish(fam: FormFamily, found: dict, with_decomposition: bool,
             precision, betas: dict) -> list[SolutionRecord]:
     """Sorted records; decomposes gamma = x - beta_n y for each solution.
 
-    `betas` caches beta_n per index and is filled for indices it lacks."""
+    `betas` maps every index of the box to its beta_n."""
     records = []
     for (n, x, y), (value, degenerate) in found.items():
         dec = None
         if with_decomposition and not degenerate and x != 0 and y != 0:
-            if n not in betas:
-                betas[n] = fam.beta(n)
             dec = unit_reduce(fam, (-y) * betas[n] + x, precision)
             assert dec.norm_abs == abs(value), "norm and form value disagree"
         records.append(SolutionRecord(
@@ -492,13 +489,13 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     found: dict = {}
     if spec.k == 0:
         return []
-    cap = x_cap(fam, spec)
-    for n in spec.indices():
-        form = form_at(fam, n)
-        degenerate = fam.is_degenerate_index(n)
-        if degenerate:
+    betas = {n: fam.beta(n) for n in spec.indices()}
+    cap = _cap(betas.values(), spec)
+    for n, beta in betas.items():
+        form = norm_form(beta)
+        if beta.is_rational():
             if not spec.exclude_degenerate:
-                _degenerate_lines(found, spec, cap, n, fam.beta(n), form)
+                _degenerate_lines(found, spec, cap, n, beta, form)
                 _trivial_axis_solutions(found, spec, cap, n, form, True)
             continue
         if naive:
@@ -511,7 +508,7 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
             _trivial_axis_solutions(found, spec, cap, n, form, False)
         else:
             _oracle_index(found, fam, spec, cap, n, form)
-    return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, {})
+    return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, betas)
 
 
 # -- sweep -------------------------------------------------------------------------

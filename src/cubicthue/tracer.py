@@ -34,7 +34,7 @@ from .errors import (
 )
 from .family import FormFamily, form_at
 from .heights import HeightReport, height_from_conjugates, to_int_primitive
-from .reduction import Decomposition, decompose_solution
+from .reduction import Decomposition, decompose_solution, house_exponent
 from .intervals import (
     CBox,
     RI,
@@ -235,9 +235,6 @@ def _term_boxes(fam: FormFamily, n: int, dec: Decomposition,
         "t": (t1, t2, t3),
         "sines": (sine1, sine2, sine3),
         "angles": (theta, delta, v),
-        "eps_r": eps_r, "eps_c": eps_c,
-        "alpha_r": alpha_r, "alpha_c": alpha_c,
-        "xi_r": xi_r, "xi_c": xi_c,
     }
 
 
@@ -341,9 +338,7 @@ def inequality_ledger(fam: FormFamily, n: int, x: int, y: int, k: int,
     abs_xi = abs(xi_r)
     abs_xi_c = xi_c.abs(bits)
     log_k = ri_log(RI.point(k), bits)
-    house = abs_xi.max_with(abs_xi_c)
-    kappa9 = ri_log(house.max_with(abs_xi.recip()).max_with(abs_xi_c.recip()),
-                    bits) / log_k
+    kappa9 = house_exponent(abs_xi, abs_xi_c, log_k, bits)
     k_pow_kappa9 = ri_exp(kappa9 * log_k, bits)
 
     rows: list[LedgerRow] = []
@@ -553,9 +548,7 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
     decay = ri_sqrt(eps_r, bits).pow_int(-(n + 3 * abs(ell)))
     if k is not None and k >= 2:
         log_k = ri_log(RI.point(k), bits)
-        house = abs(xi_r).max_with(xi_c.abs(bits))
-        kappa9 = ri_log(house.max_with(abs(xi_r).recip())
-                        .max_with(xi_c.abs(bits).recip()), bits) / log_k
+        kappa9 = house_exponent(abs(xi_r), xi_c.abs(bits), log_k, bits)
         scale = decay * ri_exp(kappa9 * log_k, bits)
     else:
         scale = decay
@@ -612,7 +605,7 @@ def _row_json(r: LedgerRow) -> dict:
 def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
                       precision=DEFAULT_PRECISION) -> dict:
     """Full JSON-serializable audit of one solution."""
-    dec, house_report = decompose_solution(fam, n, x, y, k, precision)
+    dec, kappa9 = decompose_solution(fam, n, x, y, k, precision)
     trace = siegel_terms(fam, n, dec, precision)
     rows = inequality_ledger(fam, n, x, y, k, dec, trace, precision)
     value = form_at(fam, n).evaluate(x, y)
@@ -625,8 +618,7 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
         "xi1": [frac_str(c) for c in dec.xi.coords],
         "norm_abs": frac_str(dec.norm_abs),
         "balance": ri_json(dec.balance, 25),
-        "kappa9_emp": (ri_json(house_report.kappa9_emp, 25)
-                       if house_report.kappa9_emp is not None else None),
+        "kappa9_emp": ri_json(kappa9, 25) if kappa9 is not None else None,
         "case": trace.case,
         "degenerate_sines": list(trace.degenerate_sines),
         "terms": {

@@ -1,123 +1,13 @@
-"""Bound formulas, sine calibration, elementary complex inequalities."""
+"""Empirical calibration of the sine lower bound."""
 
-import math
-import random
 from fractions import Fraction
 
-import mpmath
-import pytest
-
-from cubicthue.bounds import (
-    BakerConfig,
-    calibrate_c2,
-    lemma3a_margin,
-    lemma3b_margin,
-    prop1_bound,
-    prop2_bound,
-    sine_bound,
-    sine_chain_check,
-    unit_circle_point,
-)
-from cubicthue.errors import InvalidParameters, OutOfDomain
-from cubicthue.intervals import CBox, RI
+from cubicthue.bounds import calibrate_c2
+from cubicthue.intervals import RI
 from cubicthue.tracer import family_angles
 
 P25 = Fraction(1, 10**25)
 P30 = Fraction(1, 10**30)
-
-
-# -- prop1 -------------------------------------------------------------------
-
-
-def test_prop1_direct_substitution():
-    cfg = BakerConfig()
-    value = prop1_bound(cfg, 2, 1.0, 1.0, 1.0, math.e)
-    assert abs(value - math.exp(-32 * math.log(2))) < 1e-18
-
-
-def test_prop1_exponent_linearity():
-    cfg = BakerConfig()
-    base = prop1_bound(cfg, 3, 1.0, 1.0, 1.0, 3.0)
-    doubled = prop1_bound(cfg, 3, 1.0, 2.0, 1.0, 3.0)
-    assert abs(doubled - base**2) < 1e-25
-
-
-def test_prop1_validates_hypotheses():
-    cfg = BakerConfig()
-    with pytest.raises(InvalidParameters):
-        prop1_bound(cfg, 3, 0.1, 1.0, 1.0, 3.0)
-    with pytest.raises(InvalidParameters):
-        prop1_bound(cfg, 3, 1.0, 1.0, 1.0, 1.5)
-
-
-def test_prop1_deterministic():
-    cfg = BakerConfig(c0=2.5)
-    args = (6, 1.1, 2.2, 3.3, 7.0)
-    assert prop1_bound(cfg, *args) == prop1_bound(cfg, *args)
-
-
-# -- prop2 -------------------------------------------------------------------
-
-
-def test_prop2_height_clamp():
-    value = prop2_bound(BakerConfig(), 0.0, 0.0, 5.0)
-    assert abs(value - math.exp(-math.e**2 * math.log(5))) < 1e-18
-
-
-def test_prop2_direct():
-    value = prop2_bound(BakerConfig(), 3.0, 3.0, 2.0)
-    assert abs(value - math.exp(-9 * math.log(2))) < 1e-16
-
-
-def test_prop2_validates():
-    with pytest.raises(InvalidParameters):
-        prop2_bound(BakerConfig(), 1.0, 1.0, 1.5)
-
-
-def test_prop2_holds_for_unit_ratio_powers(fam1):
-    # oracle: |gamma1 gamma2^n - 1| by direct interval evaluation, with the
-    # constant calibrated to the worst observed index
-    _, eps_c = fam1.epsilon.embed(P30)
-    _, alpha_c = fam1.alpha.embed(P30)
-    gamma1 = eps_c.conj() / eps_c
-    gamma2 = alpha_c.conj() / alpha_c
-    from cubicthue.cubicfield import SplittingAlgebra
-    from cubicthue.heights import height_from_conjugates
-
-    alg = SplittingAlgebra(fam1.field)
-    g1s = alg.sigma_bar(fam1.epsilon) * alg.inverse(alg.sigma(fam1.epsilon))
-    g2s = alg.sigma_bar(fam1.alpha) * alg.inverse(alg.sigma(fam1.alpha))
-    h1 = float(height_from_conjugates(
-        1, alg.embeddings(g1s, 160), len(alg.min_poly(g1s)) - 1).height.hi)
-    h2 = float(height_from_conjugates(
-        1, alg.embeddings(g2s, 160), len(alg.min_poly(g2s)) - 1).height.hi)
-    observed = []
-    for n in range(1, 101):
-        dist = (gamma1 * gamma2.pow_int(n, round_bits=400)
-                - CBox.point(1)).abs(200)
-        assert dist.lo > 0
-        big_b = max(2.0, float(n))
-        observed.append((float(dist.lo), big_b))
-    # calibrate c1 so the formula sits below every observed distance
-    c1 = max(-math.log(d) / (math.log(b) * max(math.e, h1) * max(math.e, h2))
-             for d, b in observed) + 1e-9
-    cfg = BakerConfig(c1=c1)
-    for n, (d, b) in enumerate(observed, start=1):
-        assert prop2_bound(cfg, h1, h2, b) <= d
-
-
-# -- sine bound and calibration -----------------------------------------------------
-
-
-def test_sine_bound_values():
-    assert sine_bound(0, 1.0) == 0.5
-    assert sine_bound(2, 2.0) == 1 / 16
-
-
-def test_sine_bound_monotone():
-    for n in range(0, 30):
-        assert sine_bound(n + 1, 1.5) < sine_bound(n, 1.5)
-    assert sine_bound(5, 2.0) < sine_bound(5, 1.0)
 
 
 def test_calibrate_zero_delta1(fam1):
@@ -157,70 +47,3 @@ def test_calibration_roundtrip(fam1):
         s = abs(ri_sin(delta + n * theta, 160))
         bound = ri_exp(ri_log(RI.point(abs(n) + 2), 160) * -c2, 160)
         assert s.hi >= bound.lo
-
-
-def test_sine_chain_inequality(fam1):
-    # |sin(d1 + n d2)| >= (sqrt(2)/2) |(-1)^ell gamma1 gamma2^n - 1| with
-    # gamma_i the unit-circle points of the family conjugates and ell the
-    # nearest multiple of pi; the sign-free variant must fail for odd ell
-    delta, theta = family_angles(fam1, P30)
-    _, eps_c = fam1.epsilon.embed(P30)
-    _, alpha_c = fam1.alpha.embed(P30)
-    g1 = unit_circle_point(alpha_c, 220)
-    g2 = unit_circle_point(eps_c, 220)
-    rng = random.Random(17)
-    literal_violation = False
-    for _ in range(100):
-        n = rng.randint(-2000, 2000)
-        if n == -1 or n == 0:
-            continue
-        check = sine_chain_check(delta, theta, g1, g2, n, 220)
-        assert check.margin_corrected.lo > -Fraction(1, 10**20)
-        if check.ell_parity == 1 and check.margin_literal.hi < 0:
-            literal_violation = True
-            assert check.margin_literal.lo < -Fraction(1, 10**20)
-    assert literal_violation, "expected certified counterexamples at odd ell"
-
-
-def test_sine_chain_literal_counterexample_n3(fam1):
-    # smallest concrete violation of the sign-free chain for this field
-    delta, theta = family_angles(fam1, P30)
-    _, eps_c = fam1.epsilon.embed(P30)
-    g = unit_circle_point(eps_c, 220)
-    check = sine_chain_check(delta, theta, g, g, 3, 220)
-    assert check.ell_parity == 1
-    assert check.margin_literal.hi < 0
-    assert check.margin_corrected.lo > 0
-
-
-# -- lemma 3 -----------------------------------------------------------------------
-
-
-def test_lemma3a_zero():
-    margin = lemma3a_margin(CBox.point(0, 0))
-    assert margin.contains(0) and margin.hi < Fraction(1, 10**25)
-
-
-def test_lemma3b_real_example():
-    margin = lemma3b_margin(CBox.point(Fraction(5, 4), 0), P25)
-    # |log 1.25| = 0.2231... <= 2 * 0.25
-    assert margin.lo > 0
-    assert abs(float(margin.mid) - (0.5 - math.log(1.25))) < 1e-20
-
-
-def test_lemma3b_domain():
-    with pytest.raises(OutOfDomain):
-        lemma3b_margin(CBox.point(2, 0), P25)
-
-
-def test_lemma3_random_samples():
-    rng = random.Random(23)
-    for _ in range(1000):
-        re = Fraction(rng.randint(-999, 999), 1000)
-        im = Fraction(rng.randint(-999, 999), 1000)
-        t = CBox.point(re, im)
-        assert lemma3a_margin(t, P25).hi >= 0
-        if (re * re + im * im) < Fraction(24, 100):
-            z = CBox.point(1 + re, im)
-            if float((z - CBox.point(1)).abs(120).hi) < 0.5:
-                assert lemma3b_margin(z, P25).hi >= 0

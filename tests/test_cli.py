@@ -1,5 +1,6 @@
 """Command-line interface: output contracts and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import cubicthue.cli
 from cubicthue.cli import main
-from cubicthue.config import PRECISION_ENV, load_config
+from cubicthue.config import PRECISION_ENV, Config, load_config
 from cubicthue.family import example_family, family_to_json
 
 
@@ -146,6 +147,22 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "swap_identity" in out
+    assert ("[D=1] ok   fundamentality: certificate: proved_fundamental"
+            in out.splitlines())
+
+
+def test_verify_unknown_fundamentality_is_info(monkeypatch, capsys):
+    # an unproved fundamentality certificate is reported, never a failure
+    real = cubicthue.cli.check_fundamental
+
+    def unknown(fam):
+        return dataclasses.replace(real(fam), status="unknown")
+
+    monkeypatch.setattr(cubicthue.cli, "check_fundamental", unknown)
+    code, out, _ = run_cli(capsys, "verify", "--D", "1")
+    assert code == 0
+    assert "FAIL" not in out
+    assert "[D=1] info fundamentality: certificate: unknown" in out.splitlines()
 
 
 def test_verify_corrupted_family_file_exit_5(tmp_path, capsys):
@@ -185,7 +202,8 @@ def test_config_file_and_env_override(tmp_path, monkeypatch):
     cfg = load_config(str(path))
     assert cfg.precision == Fraction(1, 10**10)
     assert cfg.output == "json"
-    assert cfg.baker.c0 == 2.0
+    # the retired "baker" key is ignored like any other unknown key
+    assert cfg == Config(precision=Fraction(1, 10**10), output="json")
     monkeypatch.setenv(PRECISION_ENV, "1e-15")
     cfg = load_config(str(path))
     assert cfg.precision == Fraction(1, 10**15)

@@ -1,4 +1,4 @@
-"""Interval layer: exact ring ops, outward rounding, certified enclosures."""
+"""Interval layer: exact ring ops, certified enclosures."""
 
 import math
 import random
@@ -13,8 +13,6 @@ from cubicthue.intervals import (
     CBox,
     RI,
     bits_for_width,
-    cbox_exp,
-    cbox_log,
     ri_atan2,
     ri_cos,
     ri_exp,
@@ -54,13 +52,6 @@ def test_ring_ops_contain_true_values():
 def test_division_by_zero_interval_raises():
     with pytest.raises(ZeroDivisionError):
         RI.of(-1, 1).recip()
-
-
-def test_round_out_encloses_and_caps():
-    x = RI.of(Fraction(1, 3), Fraction(2, 3))
-    r = x.round_out(16)
-    assert r.lo <= x.lo and r.hi >= x.hi
-    assert r.lo.denominator <= 1 << 16 and r.hi.denominator <= 1 << 16
 
 
 def test_pow_int_negative():
@@ -188,14 +179,6 @@ def test_cbox_mul_div_contains():
             assert quot.re.contains(q[0]) and quot.im.contains(q[1])
 
 
-def test_cbox_exp_log_roundtrip():
-    z = CBox.point(Fraction(1, 3), Fraction(1, 5))
-    w = cbox_exp(z, 150)
-    back = cbox_log(w, 150)
-    assert back.re.contains(Fraction(1, 3))
-    assert back.im.contains(Fraction(1, 5))
-
-
 def test_cbox_arg_quadrants():
     pi = ri_pi(100)
     z = CBox.point(-1, 1)
@@ -213,13 +196,10 @@ def test_enclosure_monotone_under_refinement():
     assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
 
 
-def test_pow_int_rounding_still_encloses():
+def test_cbox_pow_int_encloses():
     z = CBox.point(Fraction(3, 7), Fraction(2, 7))
     w = (Fraction(1), Fraction(0))
     for _ in range(9):
         w = _cmul(w, (Fraction(3, 7), Fraction(2, 7)))
-    exact = z.pow_int(9)
-    rounded = z.pow_int(9, round_bits=64)
-    for box in (exact, rounded):
-        assert box.re.contains(w[0]) and box.im.contains(w[1])
-    assert rounded.re.lo <= exact.re.lo and exact.re.hi <= rounded.re.hi
+    box = z.pow_int(9)
+    assert box.re.contains(w[0]) and box.im.contains(w[1])

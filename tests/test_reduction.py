@@ -102,12 +102,12 @@ def test_conjugate_consistency(fam1):
 
 
 def test_decompose_known_solution(fam1):
-    dec, report = decompose_solution(fam1, 0, 1, -1, k=2)
+    dec, kappa9 = decompose_solution(fam1, 0, 1, -1, k=2)
     assert dec.norm_abs == 2
     assert (fam1.epsilon ** dec.ell) * dec.xi == fam1.field.element(1) + fam1.beta(0)
-    assert report.kappa9_emp is not None
+    assert kappa9 is not None
     # xi = cbrt(2): the exponent log(house)/log(2) is exactly 1/3
-    assert abs(float(report.kappa9_emp.mid) - 1 / 3) < 1e-12
+    assert abs(float(kappa9.mid) - 1 / 3) < 1e-12
 
 
 def test_decompose_rejects_degenerate(fam1):
@@ -142,7 +142,7 @@ def test_empirical_house_exponent_bounded(fam1):
                     continue
                 v = form.evaluate(x, y)
                 if v != 0 and abs(v) <= 10:
-                    _, report = decompose_solution(fam1, n, x, y, k=10)
-                    seen.append(float(report.kappa9_emp.hi))
+                    _, kappa9 = decompose_solution(fam1, n, x, y, k=10)
+                    seen.append(float(kappa9.hi))
     assert seen
     assert max(seen) < 5.0
