@@ -68,7 +68,7 @@ def calibrate_c2(delta1: RI, delta2: RI, n_max: int,
         checked += 1
         # exponent needed at this n, from the certified lower sine bound;
         # the .lo endpoint makes the quotient an upper bound
-        need = float(ri_log(RI.point(s.lo), bits).lo) / -math.log(abs(n) + 2)
+        need = float(ri_log(s, bits).lo) / -math.log(abs(n) + 2)
         if need > best:
             best = need
             worst_n = n

@@ -166,7 +166,7 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
     yield "conjugate_modulus", ok, "|eps'| = eps^(-1/2) within 1e-20"
 
     rng = random.Random(7)
-    reg_half = reg / 2 + Fraction(1, 10**9)
+    reg_half = reg.hi / 2 + Fraction(1, 10**9)
     ok = True
     for _ in range(20):
         coords = [rng.randint(-50, 50) for _ in range(3)]
@@ -174,7 +174,7 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
             coords = [1, 0, 0]
         gamma = fam.field.element(*coords)
         dec = unit_reduce(fam, gamma)
-        if (fam.epsilon ** dec.ell) * dec.xi != gamma or dec.balance.hi > reg_half.hi:
+        if (fam.epsilon ** dec.ell) * dec.xi != gamma or dec.balance.hi > reg_half:
             ok = False
             break
     yield "unit_reduction", ok, "exact reconstruction and balance <= R/2 + 1e-9"

@@ -6,15 +6,17 @@ real root g.  Elements are exact rational vectors in the power basis
 computed by exact linear algebra on the multiplication action, never from
 floating approximations of the roots.
 
-Numerical embeddings are certified: the real root is isolated by exact
-sign-change bisection (signs of an integer polynomial at dyadic rationals are
-exact), and the complex root with positive imaginary part is enclosed by
-transporting the real enclosure through the exact identities
+Numerical embeddings are certified, and each is a function of the requested
+precision alone.  The real root at `bits` is the grid cell
+[m, m + 1] * 2^-bits that holds it, found by exact integer sign tests of the
+cubic at dyadic points; only the finest cell computed so far is kept, and a
+coarser one is read off it by a shift.  The complex root with positive
+imaginary part is enclosed by transporting such a cell through the exact
+identities
 
     Re g' = (-a1 - g) / 2,        |g'|^2 = -a3 / g,
 
-which follow from the symmetric functions of the roots.  Both enclosures are
-refinable on demand and shrink monotonically.
+which follow from the symmetric functions of the roots.
 
 A minimal exact model of the degree-6 splitting field (`SplittingAlgebra`)
 supports heights and rationality tests for quantities that mix two distinct
@@ -75,29 +77,36 @@ class CubicField:
         self.min_poly = min_poly
         self.disc = disc
         a1, a2, a3 = min_poly[1], min_poly[2], min_poly[3]
-        bound = 1 + max(abs(a1), abs(a2), abs(a3))
-        # bisection bracket [lo, hi] with f(lo) < 0 < f(hi)
-        self._real = RI(Fraction(-bound), Fraction(bound))
-        self._cbox: CBox | None = None
+        # the root lies in (-2^k, 2^k) by Cauchy's bound, so it is in the
+        # cell m = -1 or m = 0 at bits = -k; f(0) = a3 < 0 puts it above 0
+        k = (1 + max(abs(a1), abs(a2), abs(a3))).bit_length()
+        self._cell = (0 if a3 < 0 else -1, -k)  # the finest (m, bits) known
 
     # -- root enclosures ----------------------------------------------------
 
-    def _poly_at(self, t: Fraction) -> Fraction:
+    def _sign_at(self, u: int, b: int) -> int:
+        """Sign of the cubic at u / 2^b, by exact integer arithmetic."""
         _, a1, a2, a3 = self.min_poly
-        return ((t + a1) * t + a2) * t + a3
+        if b <= 0:
+            t = u << -b
+            v = ((t + a1) * t + a2) * t + a3
+        else:  # 2^(3b) f(u / 2^b)
+            v = ((u + (a1 << b)) * u + (a2 << 2 * b)) * u + (a3 << 3 * b)
+        if v == 0:  # impossible for an irreducible cubic
+            raise ReduciblePolynomial(f"rational root {u}/2^{b}")
+        return 1 if v > 0 else -1
 
     def real_root(self, bits: int) -> RI:
-        """Enclosure of the real root with width <= 2^-bits."""
-        target = Fraction(1, 1 << bits)
-        cur = self._real
-        while cur.width > target:
-            mid = cur.mid
-            v = self._poly_at(mid)
-            if v == 0:  # impossible for an irreducible cubic
-                raise ReduciblePolynomial(f"rational root {mid}")
-            cur = RI(mid, cur.hi) if v < 0 else RI(cur.lo, mid)
-        self._real = cur
-        return cur
+        """The cell [m, m + 1] * 2^-bits that holds the real root."""
+        m, b = self._cell
+        if bits <= b:
+            return RI.dyadic(m >> (b - bits), (m >> (b - bits)) + 1, -bits)
+        while b < bits:
+            m, b = 2 * m, b + 1
+            if self._sign_at(m + 1, b) < 0:
+                m += 1
+        self._cell = (m, b)
+        return RI.dyadic(m, m + 1, -bits)
 
     def complex_root(self, bits: int) -> CBox:
         """Enclosure of the complex root with positive imaginary part."""
@@ -111,12 +120,9 @@ class CubicField:
             re = (RI.point(-a1) - r) / 2
             mod2 = RI.point(-a3) / r
             im2 = mod2 - re.sqr()
-            if im2.lo <= 0:
+            if not im2.is_positive():
                 return None
             box = CBox(re, ri_sqrt(im2, b))
-            if self._cbox is not None:
-                box = box.intersect(self._cbox)
-            self._cbox = box
             return box if box.width <= target else None
 
         return refine(step, max(bits + 4, 32),
@@ -165,6 +171,16 @@ def make_field(coeffs: Sequence[int]) -> CubicField:
         raise TotallyReal(f"discriminant {disc} > 0: three real roots")
     # disc == 0 implies a repeated (hence rational) root, caught above
     return CubicField((a0, a1, a2, a3), disc, _token=_FIELD_TOKEN)
+
+
+def _horner(coords: Sequence[Fraction], z):
+    """c0 + c1 z + c2 z^2 for an RI or CBox z.
+
+    The coordinates' common denominator d is cleared first, so the
+    polynomial is evaluated with integer coefficients and divided by d once."""
+    c0, c1, c2 = coords
+    d = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+    return ((z * int(c2 * d) + int(c1 * d)) * z + int(c0 * d)) / d
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,10 +348,8 @@ class FieldElement:
         target = Fraction(precision)
 
         def step(bits: int) -> tuple[RI, CBox] | None:
-            r = self.field.real_root(bits)
-            b = self.field.complex_root(bits)
-            real = (RI.point(self.c2) * r + self.c1) * r + self.c0
-            cplx = (CBox.point(self.c2) * b + self.c1) * b + self.c0
+            real = _horner(self.coords, self.field.real_root(bits))
+            cplx = _horner(self.coords, self.field.complex_root(bits))
             if real.width <= target and cplx.width <= target:
                 return real, cplx
             return None
@@ -510,15 +524,11 @@ class SplittingAlgebra:
         """The six complex values of z, as certified boxes."""
         r = self.field.real_root(bits)
         c = self.field.complex_root(bits)
-        _, a1, _, _ = self.field.min_poly
         g1 = CBox.from_real(r)
         g2, g3 = c, c.conj()
-        out = []
-        for gi, gj in ((g1, g2), (g1, g3), (g2, g1), (g2, g3), (g3, g1), (g3, g2)):
-            def val(el: FieldElement) -> CBox:
-                return (CBox.point(el.c2) * gi + el.c1) * gi + el.c0
-            out.append(val(z.u) + val(z.v) * gj)
-        return out
+        return [_horner(z.u.coords, gi) + _horner(z.v.coords, gi) * gj
+                for gi, gj in ((g1, g2), (g1, g3), (g2, g1), (g2, g3),
+                               (g3, g1), (g3, g2))]
 
 
 def _solve_exact(cols: list[list[Fraction]], rhs: list[Fraction]):

@@ -110,14 +110,17 @@ def house_exponent(abs_real: RI, abs_cplx: RI, log_k: RI, bits: int) -> RI:
 
 def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
                        k: int | None = None,
-                       precision=DEFAULT_PRECISION) -> tuple[Decomposition,
-                                                             RI | None]:
+                       precision=DEFAULT_PRECISION, *,
+                       beta: FieldElement | None = None,
+                       ) -> tuple[Decomposition, RI | None]:
     """Decomposition of gamma = x - epsilon^n * alpha * y for a solution.
 
-    Returned with its `house_exponent` for k >= 2, else None."""
+    Returned with its `house_exponent` for k >= 2, else None.  `beta` is
+    epsilon^n * alpha when the caller already holds it."""
     if x == 0 or y == 0:
         raise TrivialXY(f"(x, y) = ({x}, {y})")
-    beta = fam.beta(n)
+    if beta is None:
+        beta = fam.beta(n)
     if beta.is_rational():
         raise DegenerateN(f"epsilon^{n} * alpha is rational")
     value = norm_form(beta).evaluate(x, y)

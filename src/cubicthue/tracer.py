@@ -17,6 +17,7 @@ escalation; a decision that cannot be made at the precision cap
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from .errors import (
     NotThirdCase,
     PrecisionExhausted,
 )
-from .family import FormFamily, form_at
+from .family import FormFamily, norm_form
 from .heights import HeightReport, height_from_conjugates, to_int_primitive
 from .reduction import Decomposition, decompose_solution, house_exponent
 from .intervals import (
@@ -238,11 +239,10 @@ def _term_boxes(fam: FormFamily, n: int, dec: Decomposition,
     }
 
 
-def _exact_zero_terms(fam: FormFamily, n: int,
+def _exact_zero_terms(fam: FormFamily, beta: FieldElement,
                       dec: Decomposition) -> tuple[str, ...]:
     """Exact detection of identically-vanishing terms (degenerate sines)."""
     flags = []
-    beta = fam.beta(n)
     gamma = (fam.epsilon ** dec.ell) * dec.xi
     if beta.is_rational():
         flags.append("T1")  # sin(delta + n*theta) in Z*pi
@@ -256,10 +256,15 @@ def _exact_zero_terms(fam: FormFamily, n: int,
 
 
 def siegel_terms(fam: FormFamily, n: int, dec: Decomposition,
-                 precision=DEFAULT_PRECISION) -> SiegelTrace:
-    """Certified trace of the vanishing three-term identity for a solution."""
+                 precision=DEFAULT_PRECISION, *,
+                 beta: FieldElement | None = None) -> SiegelTrace:
+    """Certified trace of the vanishing three-term identity for a solution.
+
+    `beta` is epsilon^n * alpha when the caller already holds it."""
     target = Fraction(precision)
-    degenerate = _exact_zero_terms(fam, n, dec)
+    if beta is None:
+        beta = fam.beta(n)
+    degenerate = _exact_zero_terms(fam, beta, dec)
     ambiguous = False  # did the last try fail only on the ordering?
 
     def step(bits: int):
@@ -420,11 +425,11 @@ def inequality_ledger(fam: FormFamily, n: int, x: int, y: int, k: int,
                 "|eps'^l xi'| >= 1/2 leads directly to the length bound",
                 None))
 
-    kappa17a = (RI.point(n) - Fraction(2 * abs(ell), 3)) / log_k
+    kappa17a = (RI.point(n) - RI.point(Fraction(2 * abs(ell), 3), bits)) / log_k
     rows.append(LedgerRow("17a", "uniform index bound", RI.point(n),
                           "(2/3)|l| + c log k", None,
                           empirical_constant=kappa17a))
-    kappa17b = (RI.point(Fraction(abs(ell), 3)) - abs(ell - n)) / log_k
+    kappa17b = (RI.point(Fraction(abs(ell), 3), bits) - abs(ell - n)) / log_k
     rows.append(LedgerRow("17b", "gap bound |l - n| >= |l|/3 - c log k",
                           RI.point(abs(ell - n)), "|l|/3 - c log k", None,
                           empirical_constant=kappa17b))
@@ -459,10 +464,8 @@ def _angle01(box: CBox, bits: int, z_sq: SplitElement | None,
 
 
 def _unique_integer(x: RI) -> int | None:
-    import math as _m
-
-    lo = _m.ceil(x.lo)
-    hi = _m.floor(x.hi)
+    lo = math.ceil(x.lo)
+    hi = math.floor(x.hi)
     if lo == hi:
         return lo
     return None
@@ -470,18 +473,21 @@ def _unique_integer(x: RI) -> int | None:
 
 def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
                      precision=DEFAULT_PRECISION, k: int | None = None,
-                     trace: SiegelTrace | None = None) -> LambdaData:
+                     trace: SiegelTrace | None = None, *,
+                     beta: FieldElement | None = None) -> LambdaData:
     """Linear form in logarithms attached to a third-case solution.
 
     With rho = xi (beta' - beta'bar) and mu = xi' (beta'bar - beta), the
     vanishing identity becomes rho eps^l + mu eps'^l - conj(mu eps'^l) = 0;
     dividing by -mu eps'^l yields e^Lambda - 1 on one side.  The integer h
-    makes Lambda - l*lambda1 - lambda2 = 2 i pi h and satisfies |h| <= |l|+2."""
+    makes Lambda - l*lambda1 - lambda2 = 2 i pi h and satisfies |h| <= |l|+2.
+    `beta` is epsilon^n * alpha when the caller already holds it."""
     if trace is not None and trace.case != CASE_T2T3:
         raise NotThirdCase(f"trace case is {trace.case}")
     target = Fraction(precision)
     ell = dec.ell
-    beta = fam.beta(n)
+    if beta is None:
+        beta = fam.beta(n)
     alg = SplittingAlgebra(fam.field)
     mu_split = alg.sigma(dec.xi) * (alg.sigma_bar(beta) - alg.from_k(beta))
     w_split = mu_split * (alg.sigma(fam.epsilon) ** ell)
@@ -604,14 +610,19 @@ def _row_json(r: LedgerRow) -> dict:
 
 def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
                       precision=DEFAULT_PRECISION) -> dict:
-    """Full JSON-serializable audit of one solution."""
-    dec, kappa9 = decompose_solution(fam, n, x, y, k, precision)
-    trace = siegel_terms(fam, n, dec, precision)
+    """Full JSON-serializable audit of one solution.
+
+    `precision_bits` is the working precision the Siegel step certified at;
+    every enclosure is a function of it and of the solution alone."""
+    beta = fam.beta(n)
+    dec, kappa9 = decompose_solution(fam, n, x, y, k, precision, beta=beta)
+    trace = siegel_terms(fam, n, dec, precision, beta=beta)
     rows = inequality_ledger(fam, n, x, y, k, dec, trace, precision)
-    value = form_at(fam, n).evaluate(x, y)
+    value = norm_form(beta).evaluate(x, y)
     cert = {
-        "schema": 1,
+        "schema": 2,
         "type": "trace",
+        "precision_bits": trace.precision_bits,
         "n": n, "x": x, "y": y, "k": k,
         "value": value,
         "ell": dec.ell,
@@ -636,7 +647,8 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
         "lambda": None,
     }
     if trace.case == CASE_T2T3:
-        lam = lambda_machinery(fam, n, dec, precision, k=k, trace=trace)
+        lam = lambda_machinery(fam, n, dec, precision, k=k, trace=trace,
+                               beta=beta)
         cert["lambda"] = {
             "h": lam.h,
             "nu": ri_json(lam.nu, 30),

@@ -101,7 +101,7 @@ def test_trace_valid_solution(capsys):
     assert code == 0
     cert = json.loads(out)
     assert cert["case"].endswith("_dominant")
-    assert cert["schema"] == 1
+    assert cert["schema"] == 2
     assert all(c["holds"] for c in cert["checks"])
 
 

@@ -213,6 +213,17 @@ def test_embed_rational_is_exact():
     assert cplx.re.width == 0 and cplx.im.width == 0
 
 
+def test_root_enclosures_depend_only_on_bits():
+    first = make_field([1, 3, 3, -1])
+    r50, c50 = first.real_root(50), first.complex_root(50)
+    refined = make_field([1, 3, 3, -1])
+    refined.real_root(400)
+    refined.complex_root(400)
+    assert refined.real_root(50) == r50 and refined.complex_root(50) == c50
+    # the canonical cell of the grid 2^-50
+    assert r50.width == Fraction(1, 2**50) and (r50.lo * 2**50).denominator == 1
+
+
 def test_embed_monotone_refinement(fam1):
     x = fam1.epsilon * fam1.epsilon - 3
     coarse_r, coarse_c = x.embed(Fraction(1, 10**10))

@@ -1,4 +1,4 @@
-"""Interval layer: exact ring ops, certified enclosures."""
+"""Interval layer: outward-rounded dyadic ring ops, certified enclosures."""
 
 import math
 import random
@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.intervals import (
+    KEEP_BITS,
     MAX_BITS,
     CBox,
     RI,
@@ -26,8 +29,11 @@ from cubicthue.intervals import (
 
 
 def test_point_and_width():
-    x = RI.point(Fraction(3, 7))
-    assert x.width == 0 and x.mid == Fraction(3, 7)
+    x = RI.point(Fraction(5, 8))
+    assert x.width == 0 and x.mid == Fraction(5, 8)
+    # a non-dyadic point cannot be exact: it enters at the caller's bits
+    z = RI.point(Fraction(3, 7), 100)
+    assert z.contains(Fraction(3, 7)) and 0 < z.width <= Fraction(1, 2**100)
     y = RI.of(1, 2)
     assert y.width == 1 and y.contains(Fraction(3, 2))
 
@@ -203,3 +209,132 @@ def test_cbox_pow_int_encloses():
         w = _cmul(w, (Fraction(3, 7), Fraction(2, 7)))
     box = z.pow_int(9)
     assert box.re.contains(w[0]) and box.im.contains(w[1])
+
+
+# -- the dyadic kernel against exact interval arithmetic -------------------------
+
+# Each rounding widens an interval by a factor of at most 1 + 2^-(KEEP_BITS - 2).
+SLACK = 1 + Fraction(1, 2 ** (KEEP_BITS - 2))
+
+
+def _rationals(bound=10**6):
+    dyadic = st.builds(lambda m, k: Fraction(m, 2**k),
+                       st.integers(-2**70, 2**70), st.integers(0, 200))
+    return st.one_of(
+        st.fractions(-bound, bound, max_denominator=10**9), dyadic,
+    ).filter(lambda v: abs(v) <= 2**70)
+
+
+@st.composite
+def _intervals(draw):
+    """An RI of positive width from rational or dyadic endpoints, with the
+    endpoints it was asked for."""
+    lo = draw(_rationals())
+    width = draw(_rationals().filter(lambda v: v > 0))
+    return RI(lo, lo + width), lo, lo + width
+
+
+def _exact_mul(x, y):
+    p = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(p), max(p)
+
+
+def _exact_sqr(x):
+    lo, hi = x
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return Fraction(0), max(lo * lo, hi * hi)
+
+
+def _exact_pow(x, n):
+    """Exact interval arithmetic along RI.pow_int's own square-and-multiply."""
+    result, base = None, x
+    while n:
+        if n & 1:
+            result = base if result is None else _exact_mul(result, base)
+        n >>= 1
+        if n:
+            base = _exact_sqr(base)
+    return result
+
+
+def _encloses_tightly(result: RI, exact, slack=SLACK) -> bool:
+    lo, hi = exact
+    return (result.lo <= lo and hi <= result.hi
+            and result.width <= (hi - lo) * slack)
+
+
+def _bounds(x: RI):
+    return x.lo, x.hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals(), _intervals(), st.integers(1, 9),
+       st.integers(-10**6, 10**6).filter(bool))
+def test_kernel_ops_enclose_exact_interval_arithmetic(xs, ys, n, q):
+    (x, x_lo, x_hi), (y, y_lo, y_hi) = xs, ys
+    # the rounded operands contain the rationals they were built from, and
+    # rounding never moves an endpoint across zero
+    assert x.lo <= x_lo and x_hi <= x.hi
+    assert x.is_positive() == (x_lo > 0) and x.is_negative() == (x_hi < 0)
+    if x.is_positive() and y.is_positive():
+        assert (x * y).is_positive() and (x + y).is_positive()
+        assert (x / y).is_positive() and (x / q).sign_definite()
+    ex, ey = _bounds(x), _bounds(y)
+    assert _encloses_tightly(x + y, (ex[0] + ey[0], ex[1] + ey[1]))
+    assert _encloses_tightly(x - y, (ex[0] - ey[1], ex[1] - ey[0]))
+    assert _encloses_tightly(x * y, _exact_mul(ex, ey))
+    assert _encloses_tightly(x.sqr(), _exact_sqr(ex))
+    quotient = sorted((ex[0] / q, ex[1] / q))
+    assert _encloses_tightly(x / q, quotient)
+    steps = 2 * n.bit_length()
+    assert _encloses_tightly(x.pow_int(n), _exact_pow(ex, n), SLACK ** steps)
+    if x.sign_definite():
+        assert _encloses_tightly(x.recip(), (1 / ex[1], 1 / ex[0]))
+        assert (x * y / x).contains(y_lo)
+    # pointwise: the exact Fraction result of the requested rationals
+    assert (x * y).contains(x_lo * y_hi) and (x + y).contains(x_hi + y_lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**80, 2**80), st.integers(-300, 300),
+       st.integers(-2**80, 2**80), st.integers(-300, 300), st.integers(0, 7))
+def test_kernel_dyadic_results_stay_exact(m1, e1, m2, e2, n):
+    a = Fraction(m1) * Fraction(2) ** e1
+    b = Fraction(m2) * Fraction(2) ** e2
+    x, y = RI.point(a), RI.point(b)
+    for result, exact in ((x + y, a + b), (x - y, a - b), (x * y, a * b),
+                          (x.sqr(), a * a), (x.pow_int(n), a**n),
+                          (x / 2, a / 2), (x / -8, a / -8)):
+        assert result.width == 0 and result.mid == exact
+    assert RI.point(a) == RI(a, a) == RI.of(a, a, 10)
+    if a:
+        assert (x / 3).contains(a / 3)
+        assert (x / 3).width <= abs(a) / 2 ** (MAX_BITS - 2)
+
+
+def _mp_value(fn, x: RI, prec: int):
+    with mpmath.workprec(prec):
+        return fn(mpmath.mpf(x.mid.numerator) / x.mid.denominator)
+
+
+def _contains_mp(enclosure: RI, value, prec: int) -> bool:
+    with mpmath.workprec(prec):
+        lo = mpmath.mpf(enclosure.lo.numerator) / enclosure.lo.denominator
+        hi = mpmath.mpf(enclosure.hi.numerator) / enclosure.hi.denominator
+        return lo <= value <= hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_intervals(), st.integers(24, 400))
+def test_bridge_contains_mpmath_at_twice_the_precision(xs, bits):
+    x, _, _ = xs
+    prec = 2 * bits
+    assert _contains_mp(ri_sin(x, bits), _mp_value(mpmath.sin, x, prec), prec)
+    if x.is_positive():
+        assert _contains_mp(ri_log(x, bits), _mp_value(mpmath.log, x, prec),
+                            prec)
+        assert _contains_mp(ri_sqrt(x, bits), _mp_value(mpmath.sqrt, x, prec),
+                            prec)

@@ -1,4 +1,4 @@
-"""The benchmark's call tracer resolves every name it wraps."""
+"""The benchmark's call tracer and kernel probes run against the program."""
 
 import importlib.util
 import sys
@@ -8,6 +8,7 @@ import cubicthue
 from cubicthue import cubicfield, family, intervals, reduction
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PROBES = TRACING.with_name("probes.py")
 
 
 def _tracing_module(monkeypatch):
@@ -37,3 +38,12 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert (intervals.ri_cos, reduction.decompose_solution,
             family.FormFamily.__dict__["beta"]) == originals
     assert not hasattr(cubicfield.FieldElement.embed, "__wrapped__")
+
+
+def test_probes_run():
+    # the probes build RI operands from Fraction endpoints, as `--trace 1` does
+    spec = importlib.util.spec_from_file_location("perfbench_probes", PROBES)
+    probes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probes)
+    metrics = probes.run_probes(1)
+    assert metrics and all(value > 0 for value in metrics.values())

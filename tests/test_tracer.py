@@ -1,5 +1,6 @@
 """Trace of the vanishing three-term identity and the logarithm machinery."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import mpmath
 import pytest
 
 from cubicthue.errors import AmbiguousOrdering, NotThirdCase
-from cubicthue.family import form_at
+from cubicthue.family import example_family, form_at
 from cubicthue.intervals import RI
 from cubicthue.reduction import Decomposition, decompose_solution, unit_reduce
+from cubicthue.solver import SearchSpec, solve_box
 from cubicthue.tracer import (
     CASE_T2T3,
+    certificate_json,
     classify_case,
     family_angles,
     inequality_ledger,
@@ -233,7 +236,7 @@ def test_mu_height_growth(fam1):
 
 def test_certificate_structure(fam1):
     cert = trace_certificate(fam1, 0, 1, -1, 2)
-    assert cert["schema"] == 1
+    assert cert["schema"] == 2
     assert cert["case"] in ("T1T2_dominant", "T1T3_dominant", "T2T3_dominant")
     assert cert["value"] == 2
     assert {"T1", "T2", "T3"} <= set(cert["terms"])
@@ -262,3 +265,21 @@ def test_family_angles_match_oracle(fam1):
         assert abs(float(theta.mid) - float(oracle)) < 1e-25
     # alpha = epsilon for this family
     assert delta.overlaps(theta)
+
+
+def test_certificates_do_not_depend_on_history():
+    # ten solutions of the D = 1 box, traced on a fresh family and again on
+    # one whose root enclosures solve_box and a 2000-bit request refined
+    warm = example_family(1)
+    records = solve_box(warm, SearchSpec(k=100, n_lo=-10, n_hi=10,
+                                         y_max=20000))
+    picks = [(r.n, r.x, r.y) for r in records[::len(records) // 10][:10]]
+    fresh = example_family(1)
+    first = [certificate_json(trace_certificate(fresh, n, x, y, 100))
+             for n, x, y in picks]
+    warm.field.real_root(2000)
+    again = [certificate_json(trace_certificate(warm, n, x, y, 100))
+             for n, x, y in picks]
+    assert first == again
+    cert = json.loads(first[0])
+    assert cert["schema"] == 2 and cert["precision_bits"] >= 100
