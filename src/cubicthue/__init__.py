@@ -5,7 +5,6 @@ from .cubicfield import (
     CubicField,
     FieldElement,
     SplittingAlgebra,
-    house,
     make_field,
 )
 from .family import (
@@ -17,14 +16,12 @@ from .family import (
     family_to_json,
     form_at,
     make_family,
-    normalize,
     swap_identity_check,
 )
 from .heights import (
     HeightReport,
     abs_log_height,
     check_fundamental,
-    mahler_measure,
     regulator,
 )
 from .reduction import Decomposition, decompose_solution, unit_reduce
@@ -33,7 +30,6 @@ from .solver import (
     SolutionRecord,
     brute_force_oracle,
     solve_box,
-    theorem1_sweep,
 )
 from .tracer import (
     LambdaData,

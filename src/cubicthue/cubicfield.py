@@ -35,7 +35,6 @@ from .errors import (
     NonMonic,
     ReduciblePolynomial,
     TotallyReal,
-    ZeroElement,
 )
 from .intervals import CBox, RI, bits_for_width, refine, ri_sqrt
 
@@ -360,35 +359,6 @@ class FieldElement:
     def real_embedding(self, precision=DEFAULT_PRECISION) -> RI:
         return self.embed(precision)[0]
 
-    def signed_real(self) -> int:
-        """Exact sign of the real embedding of a nonzero element."""
-        if self.is_zero():
-            raise ZeroElement("sign of zero")
-        if self.is_rational():
-            return 1 if self.c0 > 0 else -1
-
-        def step(bits: int) -> int | None:
-            real = self.real_embedding(Fraction(1, 1 << bits))
-            if real.sign_definite():
-                return 1 if real.is_positive() else -1
-            return None
-
-        return refine(step, 32, "sign determination stalled")
-
-
-def house(x: FieldElement, precision=DEFAULT_PRECISION) -> RI:
-    """Enclosure of the maximum absolute value of the three conjugates."""
-    if x.is_zero():
-        raise ZeroElement("house of zero")
-    target = Fraction(precision)
-
-    def step(bits: int) -> RI | None:
-        real, cplx = x.embed(Fraction(1, 1 << bits))
-        result = abs(real).max_with(cplx.abs(bits))
-        return result if result.width <= target else None
-
-    return refine(step, bits_for_width(target), "house refinement stalled")
-
 
 # -- splitting field -----------------------------------------------------------
 
@@ -421,19 +391,6 @@ class SplitElement:
                             u1 * u2 - cross * s2,
                             u1 * v2 + u2 * v1 - cross * s1)
 
-    def __pow__(self, n: int) -> "SplitElement":
-        if n < 0:
-            return self.alg.inverse(self) ** (-n)
-        result = self.alg.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SplitElement) and self.u == other.u
                 and self.v == other.v)
@@ -465,13 +422,6 @@ class SplittingAlgebra:
 
     def from_k(self, x: FieldElement) -> SplitElement:
         return SplitElement(self, x, self.field.zero())
-
-    def second_root(self) -> SplitElement:
-        return SplitElement(self, self.field.zero(), self.field.one())
-
-    def third_root(self) -> SplitElement:
-        _, a1, _, _ = self.field.min_poly
-        return SplitElement(self, -self.field.gen() - a1, -self.field.one())
 
     def sigma(self, x: FieldElement) -> SplitElement:
         """Image of x in K under g -> g' (exact, inside the closure)."""
@@ -507,18 +457,6 @@ class SplittingAlgebra:
             if sol is not None:
                 return (Fraction(1),) + tuple(-sol[i] for i in reversed(range(d)))
         raise RuntimeError("element of degree > 6 in a degree-6 algebra")
-
-    def inverse(self, z: SplitElement) -> SplitElement:
-        if z.is_zero():
-            raise DivisionByZero("inverse of zero")
-        mp = self.min_poly(z)
-        d = len(mp) - 1
-        c_last = mp[-1]
-        # z * (z^{d-1} + c1 z^{d-2} + ... + c_{d-1}) = -c_d
-        acc = self.from_k(self.field.zero())
-        for c in mp[:-1]:
-            acc = acc * z + self.from_k(self.field.element(c))
-        return acc * self.from_k(self.field.element(-1 / c_last))
 
     def embeddings(self, z: SplitElement, bits: int) -> list[CBox]:
         """The six complex values of z, as certified boxes."""

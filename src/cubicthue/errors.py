@@ -13,10 +13,6 @@ class ReduciblePolynomial(CubicThueError):
     """Cubic has a rational root, hence is reducible over Q."""
 
 
-class ReducibleForm(ReduciblePolynomial):
-    """Binary cubic form is reducible over Q."""
-
-
 class TotallyReal(CubicThueError):
     """Cubic has three real roots (positive discriminant)."""
 
@@ -27,10 +23,6 @@ class DivisionByZero(CubicThueError, ZeroDivisionError):
 
 class ZeroElement(CubicThueError):
     """Operation undefined for the zero element."""
-
-
-class ZeroPolynomial(CubicThueError):
-    """Operation undefined for the zero polynomial."""
 
 
 class ZeroValue(CubicThueError):

@@ -31,11 +31,10 @@ from typing import Sequence
 from .cubicfield import (
     CubicField,
     FieldElement,
-    cubic_discriminant,
     has_rational_root,
     make_field,
 )
-from .errors import InvalidParameter, NotAUnit, ReducibleForm
+from .errors import InvalidParameter, NotAUnit
 from .intervals import refine
 from .reporting import frac_str
 
@@ -57,9 +56,6 @@ class BinaryCubicForm:
         return (self.a0 * x**3 + self.a1 * x * x * y
                 + self.a2 * x * y * y + self.a3 * y**3)
 
-    def discriminant(self) -> int:
-        return cubic_discriminant(*self.coefficients)
-
     def is_irreducible(self) -> bool:
         """Reducibility of a cubic over Q reduces to having a rational root."""
         if self.a0 == 0:
@@ -80,49 +76,12 @@ class BinaryCubicForm:
 
 
 @dataclass(frozen=True, slots=True)
-class ScalingRecord:
-    """Substitution bookkeeping for the monic normalization.
-
-    a0^2 F(x, y) = F~(a0 x, y), so x-coordinates scale by a0 and a bound k
-    on |F| becomes a0^2 k on |F~|."""
-
-    original_a0: int
-
-    @property
-    def x_scale(self) -> int:
-        return self.original_a0
-
-    def bound_scale(self, k: int) -> int:
-        return self.original_a0 ** 2 * k
-
-
-@dataclass(frozen=True, slots=True)
-class NormalizedBase:
-    """Monic integral base data produced by `normalize`."""
-
-    field: CubicField
-    alpha: FieldElement
-    form: BinaryCubicForm
-
-
-def normalize(form: BinaryCubicForm) -> tuple[NormalizedBase, ScalingRecord]:
-    """Monic integral model: T^3 + a1 T^2 Y + a0 a2 T Y^2 + a0^2 a3 Y^3."""
-    if not form.is_irreducible():
-        raise ReducibleForm(f"form {form.coefficients} is reducible")
-    a0, a1, a2, a3 = form.coefficients
-    monic = BinaryCubicForm(1, a1, a0 * a2, a0 * a0 * a3)
-    field = make_field(monic.coefficients)
-    return NormalizedBase(field, field.gen(), monic), ScalingRecord(a0)
-
-
-@dataclass(frozen=True, slots=True)
 class FormFamily:
     """Family data: field, integral generator alpha, unit epsilon > 1."""
 
     field: CubicField
     alpha: FieldElement
     epsilon: FieldElement
-    provenance: ScalingRecord | None = None
     D: int | None = None
 
     def beta(self, n: int) -> FieldElement:
@@ -135,7 +94,6 @@ class FormFamily:
 
 
 def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
-                provenance: ScalingRecord | None = None,
                 D: int | None = None) -> FormFamily:
     """Validated family constructor."""
     if not alpha.is_integral():
@@ -150,7 +108,7 @@ def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
         return True if real.lo > 1 else None
 
     refine(exceeds_one, 32, "epsilon > 1 did not certify")
-    return FormFamily(field, alpha, epsilon, provenance, D)
+    return FormFamily(field, alpha, epsilon, D)
 
 
 def form_at(fam: FormFamily, n: int) -> BinaryCubicForm:
@@ -251,20 +209,20 @@ def family_to_json(fam: FormFamily) -> str:
     }
     if fam.D is not None:
         record["D"] = fam.D
-    if fam.provenance is not None:
-        record["original_a0"] = fam.provenance.original_a0
     return json.dumps(record)
 
 
 def family_from_json(text: str) -> FormFamily:
     record = json.loads(text)
+    if "original_a0" in record:
+        # a record of a non-monic form's monic model: nothing maps solutions
+        # of the model back, so solving it would answer another inequality
+        raise InvalidParameter("non-monic families (original_a0) are not "
+                               "supported")
     field = make_field(tuple(record["min_poly"]))
 
     def parse(coords: Sequence[str]) -> FieldElement:
         return field.element(*(Fraction(c) for c in coords))
 
-    provenance = None
-    if record.get("original_a0") is not None:
-        provenance = ScalingRecord(int(record["original_a0"]))
     return make_family(field, parse(record["alpha"]), parse(record["epsilon"]),
-                       provenance=provenance, D=record.get("D"))
+                       D=record.get("D"))

@@ -1,13 +1,13 @@
-"""Mahler measures, logarithmic heights, regulator, fundamentality test.
+"""Logarithmic heights, regulator, fundamentality test.
 
 The Mahler measure of an integer polynomial is |a0| times the product of
 max(1, |root|) over all roots; the absolute logarithmic height of an
 algebraic number is (1/deg) log M of its primitive integer minimal
-polynomial.  For an element of the cubic field the root moduli are those of
-its certified embeddings; `mahler_measure` of a general polynomial takes
-them from sympy's isolating rectangles (exact rational bounds).  Both are
-refined until the output enclosure meets the requested width, so every
-returned interval encloses the true value.
+polynomial.  The root moduli are never isolated from the polynomial: they
+are the moduli of certified conjugate enclosures, the embeddings of a
+cubic-field element (`abs_log_height`) or of a splitting-field element
+(`height_from_conjugates`).  Enclosures are refined until the output meets
+the requested width, so every returned interval encloses the true value.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cubicfield import DEFAULT_PRECISION, FieldElement
-from .errors import NotAUnit, ZeroElement, ZeroPolynomial
+from .errors import NotAUnit, ZeroElement
 from .family import FormFamily
 from .intervals import CBox, RI, bits_for_width, refine, ri_log, ri_root, ri_sqrt
 
@@ -41,59 +41,6 @@ def to_int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
     for c in ints:
         content = math.gcd(content, abs(c))
     return [c // content for c in ints]
-
-
-def _isolated_root_moduli(int_coeffs: list[int], eps: Fraction,
-                          bits: int) -> list[tuple[RI, int]]:
-    """(|root| enclosure, multiplicity) pairs for an integer polynomial."""
-    import sympy  # here, so that `import cubicthue` does not load it
-
-    poly = sympy.Poly(int_coeffs, sympy.Symbol("x"))
-    out: list[tuple[RI, int]] = []
-    for factor, mult in poly.sqf_list()[1]:
-        if factor.degree() == 0:
-            continue
-        reals, cplxs = factor.intervals(all=True,
-                                        eps=sympy.Rational(eps.numerator,
-                                                           eps.denominator))
-        for (lo, hi), _m in reals:
-            enclosure = abs(RI.of(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
-            out.append((enclosure, mult))
-        for (corner_lo, corner_hi), _m in cplxs:
-            re_lo, im_lo = corner_lo.as_real_imag()
-            re_hi, im_hi = corner_hi.as_real_imag()
-            box = CBox(RI.of(Fraction(re_lo.p, re_lo.q), Fraction(re_hi.p, re_hi.q)),
-                       RI.of(Fraction(im_lo.p, im_lo.q), Fraction(im_hi.p, im_hi.q)))
-            out.append((box.abs(bits), mult))
-    return out
-
-
-def mahler_measure(coeffs: Sequence, precision=DEFAULT_PRECISION) -> RI:
-    """Certified enclosure of |lead| * prod max(1, |root|).
-
-    Coefficients are in descending degree order; exact rationals allowed."""
-    fracs = [Fraction(c) for c in coeffs]
-    while fracs and fracs[0] == 0:
-        fracs = fracs[1:]
-    if not fracs:
-        raise ZeroPolynomial("Mahler measure of the zero polynomial")
-    lead = abs(fracs[0])
-    # roots at zero contribute max(1, 0) = 1
-    while fracs[-1] == 0:
-        fracs = fracs[:-1]
-    if len(fracs) == 1:
-        return RI.point(lead)
-    target = Fraction(precision)
-    int_coeffs = to_int_primitive(fracs)
-
-    def step(bits: int) -> RI | None:
-        result = RI.point(lead)
-        for modulus, mult in _isolated_root_moduli(
-                int_coeffs, Fraction(1, 1 << bits), bits):
-            result = result * modulus.max_with(1).pow_int(mult)
-        return result if result.width <= target else None
-
-    return refine(step, bits_for_width(target), "Mahler measure did not certify")
 
 
 def height_from_conjugates(lead: int, conjugates: Sequence[CBox], degree: int,

@@ -272,10 +272,6 @@ class RI:
         _, b, c, _, _ = _align(self, other)
         return b < c
 
-    def certainly_le(self, other: "RI") -> bool:
-        _, b, c, _, _ = _align(self, other)
-        return b <= c
-
     def overlaps(self, other: "RI") -> bool:
         a, b, c, d, _ = _align(self, other)
         return a <= d and c <= b

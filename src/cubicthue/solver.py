@@ -42,8 +42,7 @@ Two independent enumeration paths cover the same box and must agree:
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -509,69 +508,3 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
         else:
             _oracle_index(found, fam, spec, cap, n, form)
     return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, betas)
-
-
-# -- sweep -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    k: int
-    count: int
-    max_quantity: float
-    fitted_exponent: float | None
-    kappa4_emp: float | None
-    stable: bool | None
-    added_by_doubling: int | None
-    solve_seconds: float
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k, "count": self.count,
-            "max_quantity": self.max_quantity,
-            "fitted_exponent": self.fitted_exponent,
-            "kappa4_emp": self.kappa4_emp,
-            "stable": self.stable,
-            "added_by_doubling": self.added_by_doubling,
-            "solve_seconds": round(self.solve_seconds, 3),
-        }
-
-
-def theorem1_sweep(fam: FormFamily, k_list: list[int], spec_template: SearchSpec,
-                   stability_factor: int | None = None,
-                   precision=DEFAULT_PRECISION) -> list[SweepRow]:
-    """Growth of max(eps^|n|, |x|, |y|) over solutions as k increases.
-
-    Also reports the empirical exponent of the reverse inequality
-    |F| >= c * max(|x|, |y|, eps^|n|)^kappa over the found solutions."""
-    if sorted(k_list) != list(k_list):
-        raise ValueError("k_list must be ascending")
-    eps_hi = float(fam.epsilon.real_embedding(Fraction(1, 1 << 64)).hi)
-    rows = []
-    for k in k_list:
-        spec = replace(spec_template, k=k)
-        start = time.perf_counter()
-        records = solve_box(fam, spec, precision, with_decomposition=False)
-        elapsed = time.perf_counter() - start
-        max_q = 0.0
-        kappa4 = None
-        for r in records:
-            quantity = max(eps_hi ** abs(r.n), abs(r.x), abs(r.y))
-            max_q = max(max_q, quantity)
-            if quantity >= 2:
-                ratio = math.log(abs(r.value)) / math.log(quantity)
-                kappa4 = ratio if kappa4 is None else min(kappa4, ratio)
-        fitted = (math.log(max_q) / math.log(k)
-                  if k >= 2 and max_q > 1 else None)
-        stable = None
-        added = None
-        if stability_factor is not None:
-            wider = replace(spec_template, k=k,
-                            y_max=spec_template.y_max * stability_factor)
-            wide_records = solve_box(fam, wider, precision,
-                                     with_decomposition=False)
-            added = len(wide_records) - len(records)
-            stable = added == 0
-        rows.append(SweepRow(k, len(records), max_q, fitted, kappa4, stable,
-                             added, elapsed))
-    return rows

@@ -490,7 +490,7 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
         beta = fam.beta(n)
     alg = SplittingAlgebra(fam.field)
     mu_split = alg.sigma(dec.xi) * (alg.sigma_bar(beta) - alg.from_k(beta))
-    w_split = mu_split * (alg.sigma(fam.epsilon) ** ell)
+    w_split = mu_split * alg.sigma(fam.epsilon ** ell)
     # squares decide branch-cut ties exactly: z^2 real and the box on the
     # negative axis together pin conj(z)/z = -1
     mu_sq = None if mu_split.is_zero() else mu_split * mu_split

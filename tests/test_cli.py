@@ -184,12 +184,54 @@ def test_verify_family_file_roundtrip(tmp_path, capsys):
     assert "[file]" in out
 
 
+def test_family_file_with_original_a0_rejected(tmp_path, capsys):
+    # the scaling of a non-monic model is applied nowhere, so such a file
+    # would silently solve the monic model: refuse it
+    record = json.loads(family_to_json(example_family(1)))
+    assert "original_a0" not in record
+    record["original_a0"] = 2
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "solve", "--family-file", str(path),
+                             "--n", "0..0", "--k", "2", "--y-max", "5")
+    assert (code, out) == (2, "")
+    assert "original_a0" in err
+    code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+    assert (code, out) == (5, "")
+    assert "verification setup failed" in err
+
+
 def test_import_leaves_sympy_unloaded():
-    # sympy is only the reference route of mahler_measure; startup skips it
+    # sympy is a test dependency only (the reference Mahler measure in
+    # tests/reference_heights.py): every command runs with it blocked
     src = os.path.dirname(os.path.dirname(cubicthue.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, cubicthue; assert 'sympy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    commands = [
+        ["family", "--D", "1", "--n", "0"],
+        ["solve", "--D", "1", "--n", "-2..2", "--k", "10", "--y-max", "50"],
+        ["trace", "--D", "1", "--n", "0", "--x", "1", "--y", "-1", "--k", "2"],
+        ["verify", "--D", "1"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from cubicthue.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = os.path.dirname(src)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)["project"]
+
+    def names(requirements):
+        return [r.split(">")[0].split("=")[0].strip() for r in requirements]
+
+    assert "sympy" not in names(project["dependencies"])
+    assert "sympy" in names(project["optional-dependencies"]["test"])
 
 
 # -- config -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from cubicthue.cubicfield import (
     FieldElement,
     SplittingAlgebra,
     has_rational_root,
-    house,
     make_field,
 )
 from cubicthue.errors import (
@@ -20,7 +19,6 @@ from cubicthue.errors import (
     NonMonic,
     ReduciblePolynomial,
     TotallyReal,
-    ZeroElement,
 )
 
 P12 = Fraction(1, 10**12)
@@ -233,32 +231,6 @@ def test_embed_monotone_refinement(fam1):
     assert coarse_c.im.lo <= fine_c.im.lo and fine_c.im.hi <= coarse_c.im.hi
 
 
-# -- house -------------------------------------------------------------------------
-
-
-def test_house_epsilon_d1(fam1):
-    h = house(fam1.epsilon, P12)
-    assert str(float(h.mid)).startswith("3.84732210")
-
-
-def test_house_one(fam1):
-    h = house(fam1.field.one(), Fraction(1, 10**6))
-    assert h.lo == 1 and h.hi == 1
-
-
-def test_house_cbrt2():
-    field = make_field([1, 0, 0, -2])
-    h = house(field.gen(), P12)
-    cube = h.pow_int(3)
-    assert cube.contains(2)
-
-
-def test_house_zero_rejected():
-    field = make_field([1, 0, 0, -2])
-    with pytest.raises(ZeroElement):
-        house(field.zero(), P12)
-
-
 # -- minimal polynomial / integrality ------------------------------------------------
 
 
@@ -288,9 +260,16 @@ def test_splitting_sigma_preserves_minpoly(fam1):
 
 
 def test_splitting_inverse(fam1):
+    # sigma is a ring homomorphism: the field inverse maps to the inverse
     alg = SplittingAlgebra(fam1.field)
-    z = alg.sigma(fam1.epsilon) + alg.from_k(fam1.field.element(2))
-    assert z * alg.inverse(z) == alg.one()
+    x = fam1.epsilon + 2
+    assert alg.sigma(x) * alg.sigma(x.inverse()) == alg.one()
+    for ell in (-7, -1, 3):
+        base = alg.sigma(fam1.epsilon if ell > 0 else fam1.epsilon.inverse())
+        power = alg.one()
+        for _ in range(abs(ell)):
+            power = power * base
+        assert alg.sigma(fam1.epsilon ** ell) == power
 
 
 def test_splitting_embeddings_consistent(fam1):

@@ -1,4 +1,4 @@
-"""Family construction: normalization, exact coefficients, identities."""
+"""Family construction: exact coefficients, identities, serialization."""
 
 import json
 import random
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicthue.errors import InvalidParameter, ReducibleForm
+from cubicthue.errors import InvalidParameter
 from cubicthue.family import (
     BinaryCubicForm,
     coefficient_sequence,
@@ -14,48 +14,10 @@ from cubicthue.family import (
     family_from_json,
     family_to_json,
     form_at,
-    normalize,
     swap_identity_check,
 )
 
 P25 = Fraction(1, 10**25)
-
-
-# -- normalize ----------------------------------------------------------------
-
-
-def test_normalize_monic_identity():
-    base, scaling = normalize(BinaryCubicForm(1, -3, -3, -1))
-    assert base.form.coefficients == (1, -3, -3, -1)
-    assert scaling.x_scale == 1
-
-
-def test_normalize_scales_coefficients():
-    base, scaling = normalize(BinaryCubicForm(2, 1, 1, 1))
-    assert base.form.coefficients == (1, 1, 2, 4)
-    assert scaling.x_scale == 2
-    assert scaling.bound_scale(5) == 20
-
-
-def test_normalize_substitution_rule():
-    # oracle: direct evaluation a0^2 F(x, y) = F~(a0 x, y) at random points
-    rng = random.Random(4)
-    for _ in range(20):
-        while True:
-            coeffs = [rng.randint(1, 6)] + [rng.randint(-9, 9) for _ in range(3)]
-            form = BinaryCubicForm(*coeffs)
-            if form.is_irreducible() and form.discriminant() < 0:
-                break
-        base, scaling = normalize(form)
-        a0 = scaling.x_scale
-        for _ in range(5):
-            x, y = rng.randint(-50, 50), rng.randint(-50, 50)
-            assert a0**2 * form.evaluate(x, y) == base.form.evaluate(a0 * x, y)
-
-
-def test_normalize_rejects_reducible():
-    with pytest.raises(ReducibleForm):
-        normalize(BinaryCubicForm(1, 0, 0, -8))
 
 
 # -- form_at -----------------------------------------------------------------

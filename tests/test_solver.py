@@ -1,4 +1,4 @@
-"""Solver: oracle equivalence, box semantics, sweep reporting."""
+"""Solver: oracle equivalence, box semantics, cost."""
 
 import time
 from dataclasses import replace
@@ -15,7 +15,6 @@ from cubicthue.solver import (
     brute_force_oracle,
     record_keys,
     solve_box,
-    theorem1_sweep,
     x_cap,
 )
 
@@ -177,40 +176,6 @@ def test_sorted_output(fam1):
     records = solve_box(fam1, SMALL, with_decomposition=False)
     keys = [r.key for r in records]
     assert keys == sorted(keys)
-
-
-# -- sweep --------------------------------------------------------------------
-
-
-def test_sweep_monotone_and_finite(fam1):
-    template = SearchSpec(k=1, n_lo=-4, n_hi=4, y_max=200)
-    rows = theorem1_sweep(fam1, [1, 2, 5, 10], template)
-    maxima = [row.max_quantity for row in rows]
-    assert maxima == sorted(maxima)
-    for row in rows:
-        if row.k >= 2 and row.max_quantity > 1:
-            assert row.fitted_exponent is not None
-            assert 0 < row.fitted_exponent < 50
-
-
-def test_sweep_box_stability(fam1):
-    template = SearchSpec(k=1, n_lo=-4, n_hi=4, y_max=10**6)
-    rows = theorem1_sweep(fam1, [5, 10], template, stability_factor=2)
-    for row in rows:
-        assert row.stable is True
-        assert row.added_by_doubling == 0
-
-
-def test_sweep_reverse_exponent_reported(fam1):
-    template = SearchSpec(k=1, n_lo=-4, n_hi=4, y_max=100)
-    rows = theorem1_sweep(fam1, [10], template)
-    assert rows[0].kappa4_emp is not None
-    assert rows[0].kappa4_emp >= 0
-
-
-def test_sweep_rejects_unsorted(fam1):
-    with pytest.raises(ValueError):
-        theorem1_sweep(fam1, [5, 2], SMALL)
 
 
 # -- performance -----------------------------------------------------------------

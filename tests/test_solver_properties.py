@@ -1,4 +1,5 @@
-"""Property tests: `solve_box` equals the oracles on random families.
+"""Property tests on random families: `solve_box` equals the oracles, family
+JSON round-trips, and `unit_reduce` reconstructs with balanced conjugates.
 
 Families come from monic irreducible cubics X^3 + a1 X^2 + a2 X +- 1 with
 negative discriminant.  Their generator g is a unit, so epsilon = +-g^(+-1),
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from cubicthue.cubicfield import make_field
 from cubicthue.errors import ReduciblePolynomial, TotallyReal
-from cubicthue.family import family_from_json, make_family
+from cubicthue.family import family_from_json, family_to_json, make_family
+from cubicthue.heights import regulator
+from cubicthue.reduction import unit_reduce
 from cubicthue.solver import SearchSpec, brute_force_oracle, record_keys, solve_box
 
 CAP_WITNESS = family_from_json(
@@ -31,8 +34,10 @@ def families(draw, coeff: int = 6, alpha_coeff: int = 3):
         assume(False)
     g = field.gen()
     real = g.real_embedding(Fraction(1, 1 << 64))
+    assert real.sign_definite()
     unit = g if abs(real).lo > 1 else g.inverse()
-    epsilon = unit if unit.signed_real() > 0 else -unit
+    # g and 1/g have the same sign
+    epsilon = unit if real.is_positive() else -unit
     c0, c1, c2 = draw(st.tuples(*[st.integers(-alpha_coeff, alpha_coeff)] * 3)
                       .filter(lambda c: c[1:] != (0, 0)))
     return make_family(field, field.element(c0, c1, c2), epsilon)
@@ -65,3 +70,20 @@ def test_solve_box_equals_naive_oracle_on_tiny_boxes(fam, spec):
     naive = record_keys(brute_force_oracle(fam, spec, naive=True,
                                            with_decomposition=False))
     assert pruned == naive
+
+
+@settings(deadline=None, max_examples=25)
+@given(fam=families(),
+       gammas=st.lists(st.tuples(*[st.integers(-50, 50)] * 3)
+                       .filter(lambda c: c != (0, 0, 0)),
+                       min_size=1, max_size=3))
+def test_family_json_and_unit_reduce_on_random_families(fam, gammas):
+    back = family_from_json(family_to_json(fam))
+    assert back.field.min_poly == fam.field.min_poly
+    assert back.alpha == fam.alpha and back.epsilon == fam.epsilon
+    reg_half = regulator(fam, Fraction(1, 10**20)).hi / 2 + Fraction(1, 10**9)
+    for coords in gammas:
+        gamma = fam.field.element(*coords)
+        dec = unit_reduce(fam, gamma)
+        assert (fam.epsilon ** dec.ell) * dec.xi == gamma
+        assert dec.balance.hi <= reg_half
