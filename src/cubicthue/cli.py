@@ -50,6 +50,8 @@ EXIT_VERIFY_FAILED = 5
 # Cells (n, x, y) that verify's literal triple loop may visit.  x_cap grows
 # like eps^(n_hi + 1), so the full y_max = 30 box costs 5.5e6 cells for
 # D = 1 but 6.1e8 for D = 2; the loop runs on the largest y_max that fits.
+# Each cell is one exact Horner evaluation, about 0.2 us in CPython 3.11 on
+# a 2-vCPU x86 host, so a full budget costs about 1.2 s there.
 NAIVE_CELL_BUDGET = 6 * 10**6
 
 _SOLUTION_INPUT_ERRORS = (errors.DegenerateN, errors.TrivialXY,

@@ -117,11 +117,11 @@ def form_at(fam: FormFamily, n: int) -> BinaryCubicForm:
 
 
 def norm_form(beta: FieldElement) -> BinaryCubicForm:
-    """N(X - beta Y) from exact symmetric functions of the integral beta."""
-    t1 = beta.trace()
-    e3 = beta.norm()
-    e2 = e3 * beta.inverse().trace()
-    coeffs = (Fraction(1), -t1, e2, -e3)
+    """N(X - beta Y) from exact symmetric functions of the integral beta.
+
+    N(X - beta Y) = Y^3 chi(X / Y) for beta's characteristic polynomial chi,
+    whose coefficients come from the multiplication matrix with no inverse."""
+    coeffs = (Fraction(1), *beta.charpoly())
     if any(c.denominator != 1 for c in coeffs):
         raise InvalidParameter(f"non-integral coefficients for beta = {beta}")
     return BinaryCubicForm(*(int(c) for c in coeffs))

@@ -36,7 +36,8 @@ Two independent enumeration paths cover the same box and must agree:
   window boundaries on the remaining pieces with exact evaluations.  A
   floating root approximation merely seeds the search; correctness rests on
   the exact monotone bracketing alone.  `naive=True` forces the literal
-  triple loop for small boxes.
+  triple loop for small boxes: every cell of the box is evaluated exactly,
+  by Horner's rule in x on the y-powers hoisted once per row (n, y).
 """
 
 from __future__ import annotations
@@ -476,6 +477,27 @@ def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
     _trivial_axis_solutions(found, spec, cap, n, form, False)
 
 
+def _naive_index(found: dict, spec: SearchSpec, cap: int, n: int,
+                 form: BinaryCubicForm) -> None:
+    """Literal scan of every cell (x, y), |x| <= cap, 0 < |y| <= y_max.
+
+    Each row y hoists a1 y, a2 y^2 and a3 y^3, and each cell's value
+    F(x, y) = ((a0 x + a1 y) x + a2 y^2) x + a3 y^3 is computed exactly from
+    them and x alone; only a nonzero value in [-k, k] reaches `_collect`."""
+    a0, a1, a2, a3 = form.coefficients
+    k = spec.k
+    xs = range(-cap, cap + 1)
+    for y in range(-spec.y_max, spec.y_max + 1):
+        if y == 0:
+            continue
+        b1, b2, b3 = a1 * y, a2 * y * y, a3 * y**3
+        for x in xs:
+            v = ((a0 * x + b1) * x + b2) * x + b3
+            if v and -k <= v <= k:
+                _collect(found, spec, cap, n, x, y, v, False)
+    _trivial_axis_solutions(found, spec, cap, n, form, False)
+
+
 def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
                        naive: bool = False,
                        with_decomposition: bool = True) -> list[SolutionRecord]:
@@ -484,7 +506,8 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     The default path is exhaustive-equivalent: on each monotone piece of the
     integer cubic it brackets the window |F| <= k by exact binary search, so
     its output equals a literal scan of every x in the box.  `naive=True`
-    performs that literal scan (use only on small boxes)."""
+    performs that literal scan (use only on small boxes): one exact Horner
+    row per (n, y), with no pruning, window or symmetry."""
     found: dict = {}
     if spec.k == 0:
         return []
@@ -498,13 +521,7 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
                 _trivial_axis_solutions(found, spec, cap, n, form, True)
             continue
         if naive:
-            for y in range(-spec.y_max, spec.y_max + 1):
-                if y == 0:
-                    continue
-                for x in range(-cap, cap + 1):
-                    _collect(found, spec, cap, n, x, y, form.evaluate(x, y),
-                             False)
-            _trivial_axis_solutions(found, spec, cap, n, form, False)
+            _naive_index(found, spec, cap, n, form)
         else:
             _oracle_index(found, fam, spec, cap, n, form)
     return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, betas)

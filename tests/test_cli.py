@@ -149,6 +149,25 @@ def test_verify_passes(capsys):
     assert "swap_identity" in out
     assert ("[D=1] ok   fundamentality: certificate: proved_fundamental"
             in out.splitlines())
+    # the literal loop covers the whole y_max = 30 box of D = 1
+    assert ("[D=1] ok   naive_oracle_equivalence: literal triple loop, "
+            "y_max' = 30, 5522580 cells" in out.splitlines())
+
+
+def test_verify_naive_oracle_equivalence_can_fail(monkeypatch, capsys):
+    # a literal scan that loses one solution must fail the check
+    real = cubicthue.cli.brute_force_oracle
+
+    def lossy(fam, spec, naive=False, **kwargs):
+        records = real(fam, spec, naive=naive, **kwargs)
+        return records[1:] if naive else records
+
+    monkeypatch.setattr(cubicthue.cli, "brute_force_oracle", lossy)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL naive_oracle_equivalence: literal triple loop, "
+            "y_max' = 30, 5522580 cells" in out.splitlines())
+    assert "naive_oracle_equivalence" in err
 
 
 def test_verify_unknown_fundamentality_is_info(monkeypatch, capsys):

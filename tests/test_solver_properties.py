@@ -1,22 +1,31 @@
-"""Property tests on random families: `solve_box` equals the oracles, family
-JSON round-trips, and `unit_reduce` reconstructs with balanced conjugates.
+"""Property tests on random families: `solve_box` equals the oracles, the
+naive oracle equals a per-cell reference scan, family JSON round-trips, and
+`unit_reduce` reconstructs with balanced conjugates.
 
 Families come from monic irreducible cubics X^3 + a1 X^2 + a2 X +- 1 with
 negative discriminant.  Their generator g is a unit, so epsilon = +-g^(+-1),
 signed and inverted to make its real embedding exceed 1, is a valid family
 unit; alpha is a random irrational algebraic integer."""
 
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubicthue.cubicfield import make_field
 from cubicthue.errors import ReduciblePolynomial, TotallyReal
-from cubicthue.family import family_from_json, family_to_json, make_family
+from cubicthue.family import (
+    example_family,
+    family_from_json,
+    family_to_json,
+    make_family,
+)
 from cubicthue.heights import regulator
 from cubicthue.reduction import unit_reduce
 from cubicthue.solver import SearchSpec, brute_force_oracle, record_keys, solve_box
+from reference_solver import per_cell_reference
 
 CAP_WITNESS = family_from_json(
     '{"schema":1,"min_poly":[1,0,1,-1],"alpha":["0","0","1"],'
@@ -70,6 +79,42 @@ def test_solve_box_equals_naive_oracle_on_tiny_boxes(fam, spec):
     naive = record_keys(brute_force_oracle(fam, spec, naive=True,
                                            with_decomposition=False))
     assert pruned == naive
+
+
+def _naive_equals_reference(fam, spec):
+    """Compare on `spec`, then again with k lowered to the largest |F| found,
+    so that a solution sits on the boundary |F| = k; returns the first
+    reference."""
+    reference = per_cell_reference(fam, spec)
+    assert brute_force_oracle(fam, spec, naive=True,
+                              with_decomposition=False) == reference
+    if reference:
+        edge = replace(spec, k=max(abs(r.value) for r in reference))
+        naive = brute_force_oracle(fam, edge, naive=True,
+                                   with_decomposition=False)
+        assert naive == per_cell_reference(fam, edge)
+    return reference
+
+
+@settings(deadline=None, max_examples=25)
+@given(fam=families(coeff=4, alpha_coeff=2),
+       spec=boxes(k_max=30, n_abs=1, y_max=6))
+@example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=5))
+def test_naive_oracle_equals_per_cell_reference(fam, spec):
+    for exclude_trivial in (True, False):
+        _naive_equals_reference(fam, replace(spec,
+                                             exclude_trivial=exclude_trivial))
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_naive_oracle_equals_per_cell_reference_with_degenerate_index(D):
+    # n = -1 is the degenerate index F_-1 = (X - Y)^3 of the example family
+    fam = example_family(D)
+    spec = SearchSpec(k=10, n_lo=-2, n_hi=1, y_max=3, exclude_degenerate=False)
+    for exclude_trivial in (True, False):
+        reference = _naive_equals_reference(
+            fam, replace(spec, exclude_trivial=exclude_trivial))
+        assert any(r.degenerate for r in reference)
 
 
 @settings(deadline=None, max_examples=25)
