@@ -196,8 +196,10 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
         if sub != spec:
             oracle = record_keys(brute_force_oracle(fam, sub,
                                                     with_decomposition=False))
+        over = (f", over the {NAIVE_CELL_BUDGET}-cell budget"
+                if cells > NAIVE_CELL_BUDGET else "")
         yield "naive_oracle_equivalence", naive == oracle, (
-            f"literal triple loop, y_max' = {sub.y_max}, {cells} cells")
+            f"literal triple loop, y_max' = {sub.y_max}, {cells} cells{over}")
 
     fund = check_fundamental(fam)
     yield ("fundamentality", True if fund.proved else None,
@@ -211,7 +213,8 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
 
 
 def _naive_sub_box(fam: FormFamily, spec: SearchSpec) -> tuple[SearchSpec, int]:
-    """Largest sub-box y_max' <= y_max (at least 1) within the cell budget.
+    """Largest sub-box y_max' <= y_max within the cell budget, or y_max' = 1
+    when even that is over it (the caller then says so).
 
     Returns it with its cell count (n_hi - n_lo + 1) * 2 y_max' * (2 x_cap + 1)."""
     for y_max in range(spec.y_max, 0, -1):

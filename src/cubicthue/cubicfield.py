@@ -1,10 +1,13 @@
 """Exact arithmetic in a non-totally-real cubic field K = Q(g).
 
 The field is defined by a monic irreducible integer cubic with exactly one
-real root g.  Elements are exact rational vectors in the power basis
-(1, g, g^2); all ring operations, norms, traces and minimal polynomials are
-computed by exact linear algebra on the multiplication action, never from
-floating approximations of the roots.
+real root g.  An element is stored in the power basis (1, g, g^2) as three
+integer numerators over one positive denominator, (n0 + n1 g + n2 g^2) / d,
+in lowest terms: gcd(n0, n1, n2, d) = 1, so d = 1 exactly on Z[g].  Ring
+operations combine the integers and remove a common factor once per result;
+norms, traces and characteristic polynomials are exact integer linear
+algebra on the multiplication action, divided by a power of d at the end,
+never computed from floating approximations of the roots.
 
 Numerical embeddings are certified, and each is a function of the requested
 precision alone.  The real root at `bits` is the grid cell
@@ -130,7 +133,16 @@ class CubicField:
     # -- elements -------------------------------------------------------------
 
     def element(self, c0, c1=0, c2=0) -> "FieldElement":
-        return FieldElement(self, Fraction(c0), Fraction(c1), Fraction(c2))
+        """c0 + c1 g + c2 g^2 for rational coordinates (whatever `Fraction`
+        accepts)."""
+        if type(c0) is int and type(c1) is int and type(c2) is int:
+            return FieldElement(self, c0, c1, c2, 1)
+        c0, c1, c2 = Fraction(c0), Fraction(c1), Fraction(c2)
+        # the lcm of reduced denominators leaves no common factor to remove
+        d = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+        return FieldElement(self, c0.numerator * (d // c0.denominator),
+                            c1.numerator * (d // c1.denominator),
+                            c2.numerator * (d // c2.denominator), d)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -172,40 +184,68 @@ def make_field(coeffs: Sequence[int]) -> CubicField:
     return CubicField((a0, a1, a2, a3), disc, _token=_FIELD_TOKEN)
 
 
-def _horner(coords: Sequence[Fraction], z):
-    """c0 + c1 z + c2 z^2 for an RI or CBox z.
+def _normal(field: CubicField, n0: int, n1: int, n2: int,
+            d: int) -> "FieldElement":
+    """(n0 + n1 g + n2 g^2) / d, for d > 0, with the common factor removed."""
+    if d != 1:
+        c = math.gcd(n0, n1, n2, d)
+        if c != 1:
+            n0, n1, n2, d = n0 // c, n1 // c, n2 // c, d // c
+    return FieldElement(field, n0, n1, n2, d)
 
-    The coordinates' common denominator d is cleared first, so the
-    polynomial is evaluated with integer coefficients and divided by d once."""
-    c0, c1, c2 = coords
-    d = math.lcm(c0.denominator, c1.denominator, c2.denominator)
-    return ((z * int(c2 * d) + int(c1 * d)) * z + int(c0 * d)) / d
+
+def _det3(m: list[list[int]]) -> int:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """c0 + c1*g + c2*g^2 with exact rational coordinates."""
+    """(n0 + n1*g + n2*g^2) / d with integer numerators over one denominator.
 
-    field: CubicField
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    The form is normal: d > 0 and gcd(n0, n1, n2, d) = 1, so d = 1 exactly
+    on Z[g], every element has one representation, and equality is equality
+    of the integers.  Build elements with `CubicField.element`; the
+    constructor takes the normal form as given.  `c0`, `c1`, `c2` and
+    `coords` are the rational coordinates n_i / d.
+    """
+
+    __slots__ = ("field", "n0", "n1", "n2", "d")
+
+    def __init__(self, field: CubicField, n0: int, n1: int, n2: int, d: int):
+        self.field = field
+        self.n0 = n0
+        self.n1 = n1
+        self.n2 = n2
+        self.d = d
 
     # -- structure ------------------------------------------------------------
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self.n0, self.d)
+
+    @property
+    def c1(self) -> Fraction:
+        return Fraction(self.n1, self.d)
+
+    @property
+    def c2(self) -> Fraction:
+        return Fraction(self.n2, self.d)
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2)
 
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
+        return self.n0 == 0 and self.n1 == 0 and self.n2 == 0
 
     def is_rational(self) -> bool:
-        return self.c1 == 0 and self.c2 == 0
+        return self.n1 == 0 and self.n2 == 0
 
     def is_integral(self) -> bool:
         """True when the monic minimal polynomial has integer coefficients."""
-        return all(c.denominator == 1 for c in self.charpoly())
+        return self.d == 1 or all(c.denominator == 1 for c in self.charpoly())
 
     def __repr__(self) -> str:
         return f"FieldElement({self.c0}, {self.c1}, {self.c2})"
@@ -214,20 +254,24 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        return self.field.element(Fraction(other))
+        return self.field.element(other)
 
     def __add__(self, other) -> "FieldElement":
         o = self._coerce(other)
-        return FieldElement(self.field, self.c0 + o.c0, self.c1 + o.c1,
-                            self.c2 + o.c2)
+        d, e = self.d, o.d
+        if d == e:
+            return _normal(self.field, self.n0 + o.n0, self.n1 + o.n1,
+                           self.n2 + o.n2, d)
+        return _normal(self.field, self.n0 * e + o.n0 * d,
+                       self.n1 * e + o.n1 * d, self.n2 * e + o.n2 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, -self.c0, -self.c1, -self.c2)
+        return FieldElement(self.field, -self.n0, -self.n1, -self.n2, self.d)
 
     def __sub__(self, other) -> "FieldElement":
         return self + (-self._coerce(other))
@@ -237,12 +281,13 @@ class FieldElement:
 
     def __mul__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return FieldElement(self.field, self.c0 * f, self.c1 * f, self.c2 * f)
+            p, q = other.numerator, other.denominator
+            return _normal(self.field, self.n0 * p, self.n1 * p, self.n2 * p,
+                           self.d * q)
         o = self._coerce(other)
         _, a1, a2, a3 = self.field.min_poly
-        c0, c1, c2 = self.coords
-        d0, d1, d2 = o.coords
+        c0, c1, c2 = self.n0, self.n1, self.n2
+        d0, d1, d2 = o.n0, o.n1, o.n2
         p0 = c0 * d0
         p1 = c0 * d1 + c1 * d0
         p2 = c0 * d2 + c1 * d1 + c2 * d0
@@ -252,7 +297,7 @@ class FieldElement:
         e0 = p0 - a3 * p3 + a1 * a3 * p4
         e1 = p1 - a2 * p3 + (a1 * a2 - a3) * p4
         e2 = p2 - a1 * p3 + (a1 * a1 - a2) * p4
-        return FieldElement(self.field, e0, e1, e2)
+        return _normal(self.field, e0, e1, e2, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -260,7 +305,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
-            return self.field.element(1 / self.c0)
+            return self.field.element(Fraction(self.d, self.n0))
         s1, s2, s3 = self._charpoly_sym()
         # x^3 - s1 x^2 + s2 x - s3 = 0  =>  x^-1 = (x^2 - s1 x + s2) / s3
         sq = self * self
@@ -290,19 +335,22 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.c0 == other
+            return self.is_rational() and self.n0 == other * self.d
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return (self.field == other.field and self.n0 == other.n0
+                and self.n1 == other.n1 and self.n2 == other.n2
+                and self.d == other.d)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coords))
+        return hash((self.field, self.n0, self.n1, self.n2, self.d))
 
     # -- invariants of the multiplication action ---------------------------------
 
-    def _mult_matrix(self) -> list[list[Fraction]]:
+    def _mult_matrix(self) -> list[list[int]]:
+        """d times the matrix of multiplication by the element on (1, g, g^2)."""
         _, a1, a2, a3 = self.field.min_poly
-        c0, c1, c2 = self.coords
+        c0, c1, c2 = self.n0, self.n1, self.n2
         return [
             [c0, -a3 * c2, -a3 * c1 + a1 * a3 * c2],
             [c1, c0 - a2 * c2, -a2 * c1 + (a1 * a2 - a3) * c2],
@@ -311,22 +359,21 @@ class FieldElement:
 
     def trace(self) -> Fraction:
         _, a1, a2, _ = self.field.min_poly
-        return 3 * self.c0 - a1 * self.c1 + (a1 * a1 - 2 * a2) * self.c2
+        return Fraction(3 * self.n0 - a1 * self.n1 + (a1 * a1 - 2 * a2) * self.n2,
+                        self.d)
 
     def norm(self) -> Fraction:
-        m = self._mult_matrix()
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return Fraction(_det3(self._mult_matrix()), self.d ** 3)
 
     def _charpoly_sym(self) -> tuple[Fraction, Fraction, Fraction]:
         """(s1, s2, s3): trace, second symmetric function, norm."""
         m = self._mult_matrix()
-        s1 = m[0][0] + m[1][1] + m[2][2]
-        s2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
-              + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-              + m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        return s1, s2, self.norm()
+        d = self.d
+        s1 = Fraction(m[0][0] + m[1][1] + m[2][2], d)
+        s2 = Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0]
+                      + m[0][0] * m[2][2] - m[0][2] * m[2][0]
+                      + m[1][1] * m[2][2] - m[1][2] * m[2][1], d * d)
+        return s1, s2, Fraction(_det3(m), d ** 3)
 
     def charpoly(self) -> tuple[Fraction, Fraction, Fraction]:
         """(p, q, r) with X^3 + pX^2 + qX + r killing the element."""
@@ -342,13 +389,17 @@ class FieldElement:
 
     # -- certified embeddings ------------------------------------------------------
 
+    def _at(self, z):
+        """The element at an RI or CBox z: (z n2 + n1) z + n0, divided by d."""
+        return ((z * self.n2 + self.n1) * z + self.n0) / self.d
+
     def embed(self, precision=DEFAULT_PRECISION) -> tuple[RI, CBox]:
         """Enclosures of the real and the positive-imaginary complex image."""
         target = Fraction(precision)
 
         def step(bits: int) -> tuple[RI, CBox] | None:
-            real = _horner(self.coords, self.field.real_root(bits))
-            cplx = _horner(self.coords, self.field.complex_root(bits))
+            real = self._at(self.field.real_root(bits))
+            cplx = self._at(self.field.complex_root(bits))
             if real.width <= target and cplx.width <= target:
                 return real, cplx
             return None
@@ -464,7 +515,7 @@ class SplittingAlgebra:
         c = self.field.complex_root(bits)
         g1 = CBox.from_real(r)
         g2, g3 = c, c.conj()
-        return [_horner(z.u.coords, gi) + _horner(z.v.coords, gi) * gj
+        return [z.u._at(gi) + z.v._at(gi) * gj
                 for gi, gj in ((g1, g2), (g1, g3), (g2, g1), (g2, g3),
                                (g3, g1), (g3, g2))]
 

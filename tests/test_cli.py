@@ -154,6 +154,18 @@ def test_verify_passes(capsys):
             "y_max' = 30, 5522580 cells" in out.splitlines())
 
 
+def test_verify_names_a_sub_box_over_the_cell_budget(monkeypatch, capsys):
+    # y_max' = 1 is the smallest sub-box; when even it is over the budget,
+    # the check still runs on it and its line says so
+    monkeypatch.setattr(cubicthue.cli, "NAIVE_CELL_BUDGET", 1000)
+    code, out, _ = run_cli(capsys, "verify", "--D", "1")
+    assert code == 0
+    line, = (row for row in out.splitlines() if "naive_oracle_equivalence" in row)
+    assert line.startswith("[D=1] ok   naive_oracle_equivalence: literal "
+                           "triple loop, y_max' = 1, ")
+    assert line.endswith(" cells, over the 1000-cell budget")
+
+
 def test_verify_naive_oracle_equivalence_can_fail(monkeypatch, capsys):
     # a literal scan that loses one solution must fail the check
     real = cubicthue.cli.brute_force_oracle

@@ -1,11 +1,12 @@
 """Cubic field arithmetic: validation, exactness, certified embeddings."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubicthue.cubicfield import (
@@ -20,6 +21,7 @@ from cubicthue.errors import (
     ReduciblePolynomial,
     TotallyReal,
 )
+from reference_field import RefElement, reference_embed
 
 P12 = Fraction(1, 10**12)
 P30 = Fraction(1, 10**30)
@@ -294,3 +296,83 @@ def test_splitting_real_value_detection(fam1):
     real_combo = alg.sigma(g) + alg.tau(alg.sigma(g))
     assert alg.is_real_value(real_combo)
     assert not alg.is_real_value(alg.sigma(g))
+
+
+# -- integer numerators over one denominator, against the Fraction reference ----
+
+
+@st.composite
+def _random_fields(draw):
+    """Non-totally-real fields X^3 + a1 X^2 + a2 X + a3, as in the random
+    families of the solver property tests but with any a3 != 0."""
+    a1, a2 = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    a3 = draw(st.integers(-6, 6).filter(bool))
+    try:
+        return make_field((1, a1, a2, a3))
+    except (ReduciblePolynomial, TotallyReal):
+        assume(False)
+
+
+_rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+_coords = st.tuples(_rationals, _rationals, _rationals)
+
+
+def _assert_matches(x, ref):
+    """x is in normal form and has the reference's coordinates."""
+    assert x.d > 0 and math.gcd(x.n0, x.n1, x.n2, x.d) == 1
+    assert x.coords == ref.coords
+    assert all(type(c) is Fraction for c in x.coords)
+
+
+@settings(deadline=None, max_examples=150)
+@given(field=_random_fields(), xc=_coords, yc=_coords, s=_rationals,
+       n=st.integers(-5, 5), bits=st.integers(8, 160))
+@example(field=make_field((1, 0, 0, -2)), xc=(Fraction(1, 2), 0, 0),
+         yc=(Fraction(-1, 2), Fraction(3, 4), 0), s=Fraction(2), n=-3, bits=64)
+def test_field_arithmetic_matches_fraction_reference(field, xc, yc, s, n, bits):
+    x, y = field.element(*xc), field.element(*yc)
+    rx, ry = (RefElement(field.min_poly, *map(Fraction, c)) for c in (xc, yc))
+    _assert_matches(x, rx)
+    _assert_matches(x + y, rx + ry)
+    _assert_matches(x - y, rx - ry)
+    _assert_matches(x * y, rx * ry)
+    _assert_matches(x * s, rx * s)
+    _assert_matches(s * x, rx * s)
+    _assert_matches(x * s.numerator, rx * s.numerator)
+    _assert_matches(x + s, rx + RefElement(field.min_poly, s))
+    _assert_matches(-x, -rx)
+    assert x.norm() == rx.norm() and x.trace() == rx.trace()
+    assert x.charpoly() == rx.charpoly()
+    assert x.minimal_polynomial() == rx.minimal_polynomial()
+    assert x.is_integral() == rx.is_integral()
+    assert (x == y) == (rx.coords == ry.coords)
+    if x.is_zero():
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+    else:
+        _assert_matches(x.inverse(), rx.inverse())
+        _assert_matches(x ** n, rx ** n)
+        _assert_matches((y / x) * x, ry)
+    width = Fraction(1, 1 << bits)
+    assert x.embed(width) == reference_embed(field, rx, width)
+
+
+@settings(deadline=None, max_examples=50)
+@given(field=_random_fields(), xc=_coords, m=st.integers(2, 12))
+def test_equal_elements_have_one_representation(field, xc, m):
+    x = field.element(*xc)
+    scaled = field.element(*(c * m for c in xc)) * Fraction(1, m)
+    assert scaled == x and hash(scaled) == hash(x)
+    assert (scaled.n0, scaled.n1, scaled.n2, scaled.d) == (x.n0, x.n1, x.n2, x.d)
+    assert x - x == field.zero() and (x - x).d == 1
+
+
+def test_element_accepts_unreduced_fractions():
+    field = make_field([1, 0, 0, -2])
+    half = field.element(Fraction(1, 2))
+    assert field.element(Fraction(2, 4)) == half
+    assert hash(field.element(Fraction(2, 4))) == hash(half)
+    assert field.element("1/2") == half == Fraction(1, 2)
+    assert (half.n0, half.n1, half.n2, half.d) == (1, 0, 0, 2)
+    assert half + half == field.one() and (half + half).d == 1
+    assert field.element(1, 2, 3).d == 1

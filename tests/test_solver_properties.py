@@ -1,6 +1,7 @@
 """Property tests on random families: `solve_box` equals the oracles, the
 naive oracle equals a per-cell reference scan, family JSON round-trips, and
-`unit_reduce` reconstructs with balanced conjugates.
+`unit_reduce` reconstructs with balanced conjugates, and the identity checks
+of `trace_certificate` hold on the solutions found.
 
 Families come from monic irreducible cubics X^3 + a1 X^2 + a2 X +- 1 with
 negative discriminant.  Their generator g is a unit, so epsilon = +-g^(+-1),
@@ -25,6 +26,7 @@ from cubicthue.family import (
 from cubicthue.heights import regulator
 from cubicthue.reduction import unit_reduce
 from cubicthue.solver import SearchSpec, brute_force_oracle, record_keys, solve_box
+from cubicthue.tracer import trace_certificate
 from reference_solver import per_cell_reference
 
 CAP_WITNESS = family_from_json(
@@ -53,10 +55,10 @@ def families(draw, coeff: int = 6, alpha_coeff: int = 3):
 
 
 @st.composite
-def boxes(draw, k_max: int, n_abs: int, y_max: int):
+def boxes(draw, k_max: int, n_abs: int, y_max: int, k_min: int = 1):
     n_lo = draw(st.integers(-n_abs, n_abs))
     n_hi = draw(st.integers(n_lo, min(n_abs, n_lo + 2)))
-    return SearchSpec(k=draw(st.integers(1, k_max)), n_lo=n_lo, n_hi=n_hi,
+    return SearchSpec(k=draw(st.integers(k_min, k_max)), n_lo=n_lo, n_hi=n_hi,
                       y_max=draw(st.integers(1, y_max)))
 
 
@@ -132,3 +134,18 @@ def test_family_json_and_unit_reduce_on_random_families(fam, gammas):
         dec = unit_reduce(fam, gamma)
         assert (fam.epsilon ** dec.ell) * dec.xi == gamma
         assert dec.balance.hi <= reg_half
+
+
+IDENTITY_CHECKS = ("sum_zero", "dual_form_T1", "dual_form_T2", "dual_form_T3")
+
+
+# trace_certificate's estimates assume k >= 2
+@settings(deadline=None, max_examples=30)
+@given(fam=families(), spec=boxes(k_min=2, k_max=60, n_abs=4, y_max=300))
+@example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40))
+def test_certificate_identity_checks_on_random_families(fam, spec):
+    for record in solve_box(fam, spec, with_decomposition=False)[:3]:
+        cert = trace_certificate(fam, record.n, record.x, record.y, spec.k)
+        holds = {c["id"]: c["holds"] for c in cert["checks"]}
+        assert {name: holds[name] for name in IDENTITY_CHECKS} == dict.fromkeys(
+            IDENTITY_CHECKS, True), (record, cert["checks"])
