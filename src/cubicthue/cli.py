@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -159,7 +160,7 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
 
     prec = Fraction(1, 10**25)
     real, cplx = fam.epsilon.embed(prec)
-    from .intervals import bits_for_width, ri_sqrt
+    from .intervals import bits_for_width, ri_log, ri_sin, ri_sqrt
 
     bits = bits_for_width(prec)
     lhs = cplx.abs(bits)
@@ -207,8 +208,16 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
 
     if deep:
         delta, theta = family_angles(fam, Fraction(1, 10**30))
-        cal = calibrate_c2(delta, theta, 10**4, Fraction(1, 10**25))
-        yield ("sine_calibration", cal.c2 > 0 and cal.c2 < 1e6,
+        cal = calibrate_c2(delta, theta, 10**4, prec)
+        # the exponent needed at worst_n again, from a direct sine of
+        # delta + n theta: c2 must cover it and exceed it only by its margin
+        n = cal.worst_n
+        s = abs(ri_sin(delta + n * theta, bits))
+        ok = s.is_positive()
+        if ok:
+            need = float(ri_log(s, bits).lo) / -math.log(abs(n) + 2)
+            ok = need <= cal.c2 <= need * (1 + 1e-9) + 1e-14
+        yield ("sine_calibration", ok,
                f"c2 = {cal.c2:.6f}, skipped = {len(cal.skipped)}")
 
 

@@ -493,8 +493,17 @@ def ri_cos(x: RI, bits: int) -> RI:
 
 
 def ri_atan2(y: RI, x: RI, bits: int) -> RI:
-    """Enclosure of atan2 over the box; conservative across the branch cut."""
-    return _call_iv(iv.atan2, (y, x), bits)
+    """Enclosure of atan2 over the box; conservative across the branch cut.
+
+    mpmath rounds each endpoint outward from pi + atan(y/x) (or atan(y/x)),
+    whose terms it takes to nearest at 4 extra bits, so an endpoint can miss
+    the true angle by up to 2^-p at its precision p; each is moved out by
+    2^(1-p)."""
+    r = _call_iv(iv.atan2, (y, x), bits)
+    g = 1 - bits - GUARD_BITS
+    e = min(r._e, g)
+    pad = 1 << (g - e)
+    return _rounded((r._a << (r._e - e)) - pad, (r._b << (r._e - e)) + pad, e)
 
 
 # -- complex rectangles -------------------------------------------------------

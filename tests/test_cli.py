@@ -196,6 +196,30 @@ def test_verify_unknown_fundamentality_is_info(monkeypatch, capsys):
     assert "[D=1] info fundamentality: certificate: unknown" in out.splitlines()
 
 
+def test_verify_deep_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--D", "1", "--deep")
+    assert code == 0
+    assert "FAIL" not in out
+    assert ("[D=1] ok   sine_calibration: c2 = 1.514509, skipped = 1"
+            in out.splitlines())
+
+
+def test_verify_sine_calibration_can_fail(monkeypatch, capsys):
+    # a calibration that reports half the exponent it needs must fail
+    real = cubicthue.cli.calibrate_c2
+
+    def halved(*args, **kwargs):
+        cal = real(*args, **kwargs)
+        return dataclasses.replace(cal, c2=cal.c2 / 2)
+
+    monkeypatch.setattr(cubicthue.cli, "calibrate_c2", halved)
+    code, out, err = run_cli(capsys, "verify", "--D", "1", "--deep")
+    assert code == 5
+    assert ("[D=1] FAIL sine_calibration: c2 = 0.757255, skipped = 1"
+            in out.splitlines())
+    assert "sine_calibration" in err
+
+
 def test_verify_corrupted_family_file_exit_5(tmp_path, capsys):
     fam = example_family(1)
     record = json.loads(family_to_json(fam))

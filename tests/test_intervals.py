@@ -100,6 +100,22 @@ def test_pi_and_atan2():
     assert (4 * a).contains(pi.mid)
 
 
+def test_atan2_encloses_in_the_left_half_plane():
+    # mpmath's atan2 misrounds this second-quadrant box (the complex root of
+    # X^3 - 6X^2 - 1 at 2^-108) by about an ulp: it returns a point interval
+    # that misses the angle
+    y = RI.dyadic(138523005220938237905477854637790641639,
+                  138523005220938237905477854637790641653, -128)
+    x = RI.dyadic(-36586552425366845154657538517021299,
+                  -36586552425366845154657538517021298, -121)
+    a = ri_atan2(y, x, 108)
+    with mpmath.workprec(400):
+        for v in (y.lo, y.hi):
+            for u in (x.lo, x.hi):
+                assert _inside(a, mpmath.atan2(mpmath.mpf(v.numerator) / v.denominator,
+                                               mpmath.mpf(u.numerator) / u.denominator))
+
+
 def test_root_enclosure():
     x = RI.point(8)
     r = ri_root(x, 3, 120)
