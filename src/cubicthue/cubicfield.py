@@ -83,6 +83,7 @@ class CubicField:
         # cell m = -1 or m = 0 at bits = -k; f(0) = a3 < 0 puts it above 0
         k = (1 + max(abs(a1), abs(a2), abs(a3))).bit_length()
         self._cell = (0 if a3 < 0 else -1, -k)  # the finest (m, bits) known
+        self._complex: dict[int, CBox] = {}
 
     # -- root enclosures ----------------------------------------------------
 
@@ -111,7 +112,16 @@ class CubicField:
         return RI.dyadic(m, m + 1, -bits)
 
     def complex_root(self, bits: int) -> CBox:
-        """Enclosure of the complex root with positive imaginary part."""
+        """Enclosure of the complex root with positive imaginary part.
+
+        Memoised per `bits` on the field; like the real root cell, the box
+        depends on `bits` alone, so the memo changes no result."""
+        box = self._complex.get(bits)
+        if box is None:
+            box = self._complex[bits] = self._complex_root(bits)
+        return box
+
+    def _complex_root(self, bits: int) -> CBox:
         _, a1, _, a3 = self.min_poly
         target = Fraction(1, 1 << bits)
 

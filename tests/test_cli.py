@@ -12,7 +12,10 @@ import pytest
 import cubicthue.cli
 from cubicthue.cli import main
 from cubicthue.config import PRECISION_ENV, Config, load_config
+from cubicthue.cubicfield import DEFAULT_PRECISION
 from cubicthue.family import example_family, family_to_json
+from cubicthue.reduction import Decomposition
+from reference_reduction import reference_balance
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +221,27 @@ def test_verify_sine_calibration_can_fail(monkeypatch, capsys):
     assert ("[D=1] FAIL sine_calibration: c2 = 0.757255, skipped = 1"
             in out.splitlines())
     assert "sine_calibration" in err
+
+
+def test_verify_unit_reduction_can_fail(monkeypatch, capsys):
+    # an exponent one too large, with the xi it implies and that xi's honest
+    # balance, reconstructs exactly but is not balanced: the check must fail
+    real = cubicthue.cli.unit_reduce
+
+    def shifted(fam, gamma, *args, **kwargs):
+        dec = real(fam, gamma, *args, **kwargs)
+        ell = dec.ell + 1
+        xi = fam.epsilon ** -ell * gamma
+        return Decomposition(ell, xi, dec.norm_abs,
+                             reference_balance(xi, dec.norm_abs,
+                                               DEFAULT_PRECISION))
+
+    monkeypatch.setattr(cubicthue.cli, "unit_reduce", shifted)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL unit_reduction: exact reconstruction and balance "
+            "<= R/2 + 1e-9" in out.splitlines())
+    assert "unit_reduction" in err
 
 
 def test_verify_corrupted_family_file_exit_5(tmp_path, capsys):

@@ -66,13 +66,21 @@ def test_mahler_multiplicative_on_products():
     rng = random.Random(21)
     p10 = Fraction(1, 10**10)
     cyclotomics = [[1, 1], [1, 0, 1], [1, 1, 1], [1, -1, 1]]
+    measures = {}  # each distinct polynomial is measured once
+
+    def measure(p):
+        key = tuple(p)
+        if key not in measures:
+            measures[key] = mahler_measure(p, p10)
+        return measures[key]
+
     for _ in range(50):
         f = rng.choice(cyclotomics)
         g = [1, rng.randint(-5, 5), rng.randint(-5, 5)]
         fg = _poly_mul(f, g)
-        m_f = mahler_measure(f, p10)
-        m_g = mahler_measure(g, p10)
-        m_fg = mahler_measure(fg, p10)
+        m_f = measure(f)
+        m_g = measure(g)
+        m_fg = measure(fg)
         prod = m_f * m_g
         assert m_fg.overlaps(prod)
 

@@ -1,4 +1,5 @@
-"""Unit reduction: exact reconstruction and log-balanced conjugates."""
+"""Unit reduction: exact reconstruction, log-balanced conjugates, and the
+certification of the guessed exponent (wrong guesses, exact ties)."""
 
 import random
 from fractions import Fraction
@@ -6,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from cubicthue.errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
+from cubicthue.family import make_family
 from cubicthue.heights import regulator
 from cubicthue.intervals import RI, ri_exp, ri_log
-from cubicthue.reduction import decompose_solution, unit_reduce
+from cubicthue.reduction import ReductionCache, decompose_solution, unit_reduce
+from cubicthue.solver import SearchSpec, solve_box
+from reference_reduction import reference_unit_reduce
 
 P25 = Fraction(1, 10**25)
 TOL = Fraction(1, 10**9)
@@ -146,3 +150,52 @@ def test_empirical_house_exponent_bounded(fam1):
                     seen.append(float(kappa9.hi))
     assert seen
     assert max(seen) < 5.0
+
+
+def _box_gammas(fam):
+    """gamma = x - beta_n y for solutions of |F_n(x, y)| <= 100, whose real
+    images cancel, and a few random elements."""
+    spec = SearchSpec(k=100, n_lo=-4, n_hi=4, y_max=500)
+    records = solve_box(fam, spec, with_decomposition=False)
+    gammas = [fam.field.element(r.x) - fam.beta(r.n) * r.y
+              for r in records[::max(1, len(records) // 12)]]
+    rng = random.Random(44)
+    for _ in range(6):
+        gammas.append(fam.field.element(*[rng.randint(-10**6, 10**6)
+                                          for _ in range(3)]))
+    return gammas
+
+
+@pytest.mark.parametrize("offset", [-5, -1, 1, 5])
+def test_wrong_guess_gives_the_same_decomposition(fam1, monkeypatch, offset):
+    gammas = _box_gammas(fam1)
+    expected = [unit_reduce(fam1, gamma) for gamma in gammas]
+    guess = ReductionCache.guess
+    calls = []
+
+    def off(self, gamma, m):
+        calls.append(gamma)
+        return guess(self, gamma, m) + offset
+
+    monkeypatch.setattr(ReductionCache, "guess", off)
+    assert [unit_reduce(fam1, gamma) for gamma in gammas] == expected
+    assert len(calls) == len(gammas)
+    assert expected == [reference_unit_reduce(fam1, gamma) for gamma in gammas]
+
+
+@pytest.mark.parametrize("h", range(-3, 4))
+def test_exact_tie_takes_the_smaller_index(fam1, monkeypatch, h):
+    # over the unit epsilon^2, gamma = epsilon^(2h+1) has t = h + 1/2 exactly
+    fam = make_family(fam1.field, fam1.alpha, fam1.epsilon ** 2)
+    gamma = fam1.epsilon ** (2 * h + 1)
+    half = ri_log(fam.epsilon.real_embedding(Fraction(1, 1 << 200)), 200) / 2
+    decs = [unit_reduce(fam, gamma)]
+    for guess in (h, h + 1):  # dev = +R/2 keeps h; dev = -R/2 moves down to h
+        monkeypatch.setattr(ReductionCache, "guess",
+                            lambda self, g, m, guess=guess: guess)
+        decs.append(unit_reduce(fam, gamma))
+    for dec in decs:
+        assert dec.ell == h
+        assert dec.xi == fam1.epsilon
+        assert dec.balance.lo <= half.lo and half.hi <= dec.balance.hi
+    assert decs[0] == reference_unit_reduce(fam, gamma)

@@ -1,7 +1,8 @@
 """Property tests on random families: `solve_box` equals the oracles, the
-naive oracle equals a per-cell reference scan, family JSON round-trips, and
-`unit_reduce` reconstructs with balanced conjugates, and the identity checks
-of `trace_certificate` hold on the solutions found.
+naive oracle equals a per-cell reference scan, family JSON round-trips,
+`unit_reduce` reconstructs with balanced conjugates and equals the
+certified-t reference, and the identity checks of `trace_certificate` hold
+on the solutions found.
 
 Families come from monic irreducible cubics X^3 + a1 X^2 + a2 X +- 1 with
 negative discriminant.  Their generator g is a unit, so epsilon = +-g^(+-1),
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cubicthue.cubicfield import make_field
+from cubicthue.cubicfield import DEFAULT_PRECISION, make_field
 from cubicthue.errors import ReduciblePolynomial, TotallyReal
 from cubicthue.family import (
     example_family,
@@ -24,9 +25,10 @@ from cubicthue.family import (
     make_family,
 )
 from cubicthue.heights import regulator
-from cubicthue.reduction import unit_reduce
+from cubicthue.reduction import ReductionCache, unit_reduce
 from cubicthue.solver import SearchSpec, brute_force_oracle, record_keys, solve_box
 from cubicthue.tracer import trace_certificate
+from reference_reduction import reference_unit_reduce
 from reference_solver import per_cell_reference
 
 CAP_WITNESS = family_from_json(
@@ -134,6 +136,35 @@ def test_family_json_and_unit_reduce_on_random_families(fam, gammas):
         dec = unit_reduce(fam, gamma)
         assert (fam.epsilon ** dec.ell) * dec.xi == gamma
         assert dec.balance.hi <= reg_half
+
+
+_D1 = example_family(1)
+# over the unit epsilon^2 of D = 1, gamma = epsilon^3 sits at t = 3/2 exactly
+TIE_FAMILY = make_family(_D1.field, _D1.alpha, _D1.epsilon ** 2)
+_EPS1 = tuple(int(c) for c in _D1.epsilon.coords)
+
+
+@settings(deadline=None, max_examples=60)
+@given(fam=families(),
+       gammas=st.lists(
+           st.tuples(st.tuples(*[st.integers(-10**6, 10**6)] * 3)
+                     .filter(lambda c: c != (0, 0, 0)),
+                     st.integers(-40, 40)),
+           min_size=1, max_size=3),
+       precision=st.sampled_from((Fraction(1, 10**10), DEFAULT_PRECISION,
+                                  Fraction(1, 10**45))))
+@example(fam=TIE_FAMILY, gammas=[(_EPS1, 1), (_EPS1, -2)],
+         precision=DEFAULT_PRECISION)
+def test_unit_reduce_matches_reference(fam, gammas, precision):
+    cache = ReductionCache(fam)  # shared, as by the reductions of one solve
+    for coords, h in gammas:
+        gamma = fam.field.element(*coords) * fam.epsilon ** h
+        dec = unit_reduce(fam, gamma, precision, cache=cache)
+        ref = reference_unit_reduce(fam, gamma, precision)
+        assert (dec.ell, dec.xi, dec.norm_abs) == (ref.ell, ref.xi,
+                                                   ref.norm_abs)
+        assert (dec.balance.lo, dec.balance.hi) == (ref.balance.lo,
+                                                    ref.balance.hi)
 
 
 IDENTITY_CHECKS = ("sum_zero", "dual_form_T1", "dual_form_T2", "dual_form_T3")
