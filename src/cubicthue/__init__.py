@@ -34,6 +34,7 @@ from .solver import (
 from .tracer import (
     LambdaData,
     SiegelTrace,
+    SolutionImages,
     classify_case,
     family_angles,
     inequality_ledger,

@@ -23,7 +23,9 @@ by one.  When dev straddles +-R/2 and no tie holds, the precision doubles.
 
 R and (1/3) log m per working precision, and epsilon^(+-ell) per exponent,
 live in a `ReductionCache` that one solving call makes and drops: nothing
-is kept on the family between calls.
+is kept on the family between calls.  The enclosures of xi that a trace
+certificate needs after the split, kappa9 among them, belong to the
+tracer's `SolutionImages`.
 """
 
 from __future__ import annotations
@@ -190,25 +192,12 @@ def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
     return step
 
 
-def house_exponent(abs_real: RI, abs_cplx: RI, log_k: RI, bits: int) -> RI:
-    """kappa9_emp = log(max{house(xi), 1/|xi|, 1/|xi'|}) / log k.
-
-    Takes the moduli of the real and complex images of xi; bounded uniformly
-    over a sweep when the reduction is doing its job."""
-    top = (abs_real.max_with(abs_cplx).max_with(abs_real.recip())
-           .max_with(abs_cplx.recip()))
-    return ri_log(top, bits) / log_k
-
-
 def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
-                       k: int | None = None,
                        precision=DEFAULT_PRECISION, *,
-                       beta: FieldElement | None = None,
-                       ) -> tuple[Decomposition, RI | None]:
+                       beta: FieldElement | None = None) -> Decomposition:
     """Decomposition of gamma = x - epsilon^n * alpha * y for a solution.
 
-    Returned with its `house_exponent` for k >= 2, else None.  `beta` is
-    epsilon^n * alpha when the caller already holds it."""
+    `beta` is epsilon^n * alpha when the caller already holds it."""
     if x == 0 or y == 0:
         raise TrivialXY(f"(x, y) = ({x}, {y})")
     if beta is None:
@@ -220,9 +209,4 @@ def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
         raise ZeroValue(f"F_{n}({x}, {y}) = 0")
     dec = unit_reduce(fam, (-y) * beta + x, precision)
     assert dec.norm_abs == abs(value), "norm and form value disagree"
-    if k is None or k < 2:
-        return dec, None
-    bits = bits_for_width(Fraction(precision))
-    real, cplx = dec.xi.embed(Fraction(1, 1 << bits))
-    return dec, house_exponent(abs(real), cplx.abs(bits),
-                               ri_log(RI.point(k), bits), bits)
+    return dec

@@ -12,6 +12,10 @@ together with its integer period count h.
 All case decisions run on certified intervals with automatic precision
 escalation; a decision that cannot be made at the precision cap
 (`intervals.MAX_BITS`) raises instead of guessing.
+
+The stages read one `SolutionImages` per solution, which embeds epsilon,
+alpha, xi and beta_n once per working precision; every enclosure depends on
+(element, bits) alone, so sharing them changes no output.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .family import FormFamily, norm_form
 from .heights import HeightReport, height_from_conjugates, to_int_primitive
-from .reduction import Decomposition, decompose_solution, house_exponent
+from .reduction import Decomposition, decompose_solution
 from .intervals import (
     CBox,
     RI,
@@ -117,6 +121,57 @@ class LambdaData:
     rows: tuple[LedgerRow, ...]
 
 
+# -- the enclosures of one solution ---------------------------------------------
+
+
+class Images:
+    """Real (`_r`) and complex (`_c`) images of epsilon, alpha, xi and beta_n
+    at one working precision, with sqrt(epsilon), |alpha'| and |xi'|."""
+
+    def __init__(self, sol: SolutionImages, bits: int):
+        width = Fraction(1, 1 << bits)
+        self.bits = bits
+        self.eps_r, self.eps_c = sol.fam.epsilon.embed(width)
+        self.alpha_r, self.alpha_c = sol.fam.alpha.embed(width)
+        self.xi_r, self.xi_c = sol.dec.xi.embed(width)
+        self.beta_r, self.beta_c = sol.beta.embed(width)
+        self.sqeps = ri_sqrt(self.eps_r, bits)
+        self.abs_alpha_c = self.alpha_c.abs(bits)
+        self.abs_xi_c = self.xi_c.abs(bits)
+
+    def half_power(self, two_j: int) -> RI:
+        """epsilon^(two_j / 2), that is |epsilon'|^(-two_j)."""
+        return self.sqeps.pow_int(two_j)
+
+
+class SolutionImages:
+    """One audited solution: beta_n = epsilon^n alpha, the decomposition of
+    x - beta_n y, and its `Images`, made once per working precision."""
+
+    def __init__(self, fam: FormFamily, n: int, dec: Decomposition,
+                 beta: FieldElement | None = None):
+        self.fam, self.n, self.dec = fam, n, dec
+        self.beta = fam.beta(n) if beta is None else beta
+        self._levels: dict[int, Images] = {}
+        self._house: dict[tuple[int, int], tuple[RI, RI]] = {}
+
+    def at(self, bits: int) -> Images:
+        if bits not in self._levels:
+            self._levels[bits] = Images(self, bits)
+        return self._levels[bits]
+
+    def house(self, k: int, bits: int) -> tuple[RI, RI]:
+        """(log k, kappa9_emp) with kappa9_emp = log(max{house(xi), 1/|xi|,
+        1/|xi'|}) / log k, bounded over a sweep when the reduction works."""
+        if (k, bits) not in self._house:
+            im = self.at(bits)
+            a, b = abs(im.xi_r), im.abs_xi_c
+            top = a.max_with(b).max_with(a.recip()).max_with(b.recip())
+            log_k = ri_log(RI.point(k), bits)
+            self._house[k, bits] = log_k, ri_log(top, bits) / log_k
+        return self._house[k, bits]
+
+
 # -- angle helpers -----------------------------------------------------------------
 
 
@@ -196,52 +251,38 @@ def classify_case(trace: SiegelTrace) -> tuple[str, TraceCheck]:
 # -- the trace proper -----------------------------------------------------------
 
 
-def _term_boxes(fam: FormFamily, n: int, dec: Decomposition,
-                bits: int) -> dict:
-    """All interval quantities of the trace at one working precision."""
-    width = Fraction(1, 1 << bits)
-    eps_r, eps_c = fam.epsilon.embed(width)
-    alpha_r, alpha_c = fam.alpha.embed(width)
-    xi_r, xi_c = dec.xi.embed(width)
-    ell = dec.ell
+def _term_boxes(images: SolutionImages, bits: int) -> tuple | None:
+    """(terms, sine forms, angles) at one working precision, or None when an
+    angle straddles the branch cut."""
+    im = images.at(bits)
+    n, ell = images.n, images.dec.ell
+    eps_r, eps_c = im.eps_r, im.eps_c
 
-    z_beta = alpha_c * eps_c.pow_int(n)          # complex image of the form root
-    gamma_r = eps_r.pow_int(ell) * xi_r          # real image of epsilon^ell xi
-    w2 = eps_c.pow_int(ell) * xi_c               # complex image of the same
+    z_beta = im.alpha_c * eps_c.pow_int(n)       # complex image of the form root
+    gamma_r = eps_r.pow_int(ell) * im.xi_r       # real image of epsilon^ell xi
+    w2 = eps_c.pow_int(ell) * im.xi_c            # complex image of the same
     t1 = CBox.from_real(gamma_r) * (z_beta - z_beta.conj())
-    t2 = CBox.from_real(alpha_r * eps_r.pow_int(n)) * (w2.conj() - w2)
+    t2 = CBox.from_real(im.alpha_r * eps_r.pow_int(n)) * (w2.conj() - w2)
     w3 = w2 * z_beta.conj()
     t3 = w3 - w3.conj()
 
-    sqeps = ri_sqrt(eps_r, bits)
-
-    def half_power(two_j: int) -> RI:
-        return sqeps.pow_int(two_j)
-
     theta = _angle_mod_2pi(eps_c, bits)
-    delta = _angle_of_element_image(fam.alpha, alpha_c, bits)
-    v = _angle_of_element_image(dec.xi, xi_c, bits)
+    delta = _angle_of_element_image(images.fam.alpha, im.alpha_c, bits)
+    v = _angle_of_element_image(images.dec.xi, im.xi_c, bits)
     if theta is None or delta is None or v is None:
-        return {"retry": True}
-    abs_ac = alpha_c.abs(bits)
-    abs_xc = xi_c.abs(bits)
+        return None
     s1 = ri_sin(delta + n * theta, bits)
     s2 = ri_sin(v + ell * theta, bits)
     s3 = ri_sin(v - delta + (ell - n) * theta, bits)
-    sine1 = 2 * xi_r * abs_ac * half_power(2 * ell - n) * s1
-    sine2 = -2 * abs_xc * alpha_r * half_power(2 * n - ell) * s2
-    sine3 = 2 * abs_xc * abs_ac * half_power(-(n + ell)) * s3
-    return {
-        "retry": False,
-        "t": (t1, t2, t3),
-        "sines": (sine1, sine2, sine3),
-        "angles": (theta, delta, v),
-    }
+    sine1 = 2 * im.xi_r * im.abs_alpha_c * im.half_power(2 * ell - n) * s1
+    sine2 = -2 * im.abs_xi_c * im.alpha_r * im.half_power(2 * n - ell) * s2
+    sine3 = 2 * im.abs_xi_c * im.abs_alpha_c * im.half_power(-(n + ell)) * s3
+    return (t1, t2, t3), (sine1, sine2, sine3), (theta, delta, v)
 
 
-def _exact_zero_terms(fam: FormFamily, beta: FieldElement,
-                      dec: Decomposition) -> tuple[str, ...]:
+def _exact_zero_terms(images: SolutionImages) -> tuple[str, ...]:
     """Exact detection of identically-vanishing terms (degenerate sines)."""
+    fam, beta, dec = images.fam, images.beta, images.dec
     flags = []
     gamma = (fam.epsilon ** dec.ell) * dec.xi
     if beta.is_rational():
@@ -255,26 +296,21 @@ def _exact_zero_terms(fam: FormFamily, beta: FieldElement,
     return tuple(flags)
 
 
-def siegel_terms(fam: FormFamily, n: int, dec: Decomposition,
-                 precision=DEFAULT_PRECISION, *,
-                 beta: FieldElement | None = None) -> SiegelTrace:
-    """Certified trace of the vanishing three-term identity for a solution.
-
-    `beta` is epsilon^n * alpha when the caller already holds it."""
+def siegel_terms(images: SolutionImages,
+                 precision=DEFAULT_PRECISION) -> SiegelTrace:
+    """Certified trace of the vanishing three-term identity for a solution."""
     target = Fraction(precision)
-    if beta is None:
-        beta = fam.beta(n)
-    degenerate = _exact_zero_terms(fam, beta, dec)
+    degenerate = _exact_zero_terms(images)
     ambiguous = False  # did the last try fail only on the ordering?
 
     def step(bits: int):
         nonlocal ambiguous
-        data = _term_boxes(fam, n, dec, bits)
+        data = _term_boxes(images, bits)
         ambiguous = False
-        if data["retry"]:
+        if data is None:
             return None
         terms = [CBox.point(0) if name in degenerate else t
-                 for name, t in zip(("T1", "T2", "T3"), data["t"])]
+                 for name, t in zip(("T1", "T2", "T3"), data[0])]
         re_ok = all(t.re.contains_zero() and t.re.width <= target
                     for t in terms)
         abs_terms = tuple(t.abs(bits) for t in terms)
@@ -293,8 +329,7 @@ def siegel_terms(fam: FormFamily, n: int, dec: Decomposition,
                 "term magnitudes overlap at maximum precision") from None
         raise
     t1, t2, t3 = terms
-    sines = data["sines"]
-    theta, delta, v = data["angles"]
+    _, sines, (theta, delta, v) = data
     case, dom_margin = ordering
 
     checks = []
@@ -314,36 +349,27 @@ def siegel_terms(fam: FormFamily, n: int, dec: Decomposition,
             "product-form and sine-form enclosures agree"))
     checks.append(TraceCheck("domination", dom_margin.hi >= 0, dom_margin,
                              "largest term at most twice the second"))
-    return SiegelTrace(n, dec.ell, t1, t2, t3, tuple(sines), abs_terms,
-                       theta, delta, v, case, tuple(checks), degenerate, bits)
+    return SiegelTrace(images.n, images.dec.ell, t1, t2, t3, tuple(sines),
+                       abs_terms, theta, delta, v, case, tuple(checks),
+                       degenerate, bits)
 
 
 # -- elementary-estimates ledger ---------------------------------------------------
 
 
-def inequality_ledger(fam: FormFamily, n: int, x: int, y: int, k: int,
-                      dec: Decomposition, trace: SiegelTrace,
+def inequality_ledger(images: SolutionImages, x: int, y: int, k: int,
+                      trace: SiegelTrace,
                       precision=DEFAULT_PRECISION) -> list[LedgerRow]:
     """Evaluate the chain of elementary inequalities, reporting tight constants."""
     if k < 2:
         raise InvalidParameter("the estimates assume k >= 2")
     bits = max(trace.precision_bits, bits_for_width(Fraction(precision)))
-    width = Fraction(1, 1 << bits)
-    eps_r, eps_c = fam.epsilon.embed(width)
-    alpha_r, alpha_c = fam.alpha.embed(width)
-    xi_r, xi_c = dec.xi.embed(width)
-    ell = dec.ell
-    sqeps = ri_sqrt(eps_r, bits)
-
-    def half_power(two_j: int) -> RI:
-        return sqeps.pow_int(two_j)
-
-    abs_alpha = abs(alpha_r)
-    abs_alpha_c = alpha_c.abs(bits)
-    abs_xi = abs(xi_r)
-    abs_xi_c = xi_c.abs(bits)
-    log_k = ri_log(RI.point(k), bits)
-    kappa9 = house_exponent(abs_xi, abs_xi_c, log_k, bits)
+    im = images.at(bits)
+    n, ell = images.n, images.dec.ell
+    eps_r, half_power = im.eps_r, im.half_power
+    abs_alpha, abs_alpha_c = abs(im.alpha_r), im.abs_alpha_c
+    abs_xi, abs_xi_c = abs(im.xi_r), im.abs_xi_c
+    log_k, kappa9 = images.house(k, bits)
     k_pow_kappa9 = ri_exp(kappa9 * log_k, bits)
 
     rows: list[LedgerRow] = []
@@ -374,14 +400,12 @@ def inequality_ledger(fam: FormFamily, n: int, x: int, y: int, k: int,
     abs_y = RI.point(abs(y))
     big_a = (eps_r.pow_int(ell) * abs_xi).max_with(half_power(-ell) * abs_xi_c)
     big_b = eps_r.pow_int(n) * abs_alpha
-    lhs_y = abs_y
-    rhs_y = 4 * big_a / big_b
-    margin_y = rhs_y - lhs_y
+    margin_y = 4 * big_a / big_b - abs_y
     row_id = "9" if ell <= 0 else "12"
     kappa_y = (abs_y * half_power(2 * n - abs(ell)) / k_pow_kappa9
                if ell <= 0 else abs_y * half_power(2 * (n - ell)) / k_pow_kappa9)
     rows.append(LedgerRow(
-        row_id, "|y| against the balanced numerator bound", lhs_y,
+        row_id, "|y| against the balanced numerator bound", abs_y,
         "4 max(eps^l |xi|, eps^(|l|/2) |xi'|) / (eps^n |alpha|)",
         True if margin_y.lo >= 0 else (False if margin_y.hi < 0 else None),
         margin_y, kappa_y,
@@ -465,29 +489,23 @@ def _angle01(box: CBox, bits: int, z_sq: SplitElement | None,
 
 def _unique_integer(x: RI) -> int | None:
     lo = math.ceil(x.lo)
-    hi = math.floor(x.hi)
-    if lo == hi:
-        return lo
-    return None
+    return lo if lo == math.floor(x.hi) else None
 
 
-def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
-                     precision=DEFAULT_PRECISION, k: int | None = None,
-                     trace: SiegelTrace | None = None, *,
-                     beta: FieldElement | None = None) -> LambdaData:
+def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
+                     k: int | None = None,
+                     trace: SiegelTrace | None = None) -> LambdaData:
     """Linear form in logarithms attached to a third-case solution.
 
     With rho = xi (beta' - beta'bar) and mu = xi' (beta'bar - beta), the
     vanishing identity becomes rho eps^l + mu eps'^l - conj(mu eps'^l) = 0;
     dividing by -mu eps'^l yields e^Lambda - 1 on one side.  The integer h
-    makes Lambda - l*lambda1 - lambda2 = 2 i pi h and satisfies |h| <= |l|+2.
-    `beta` is epsilon^n * alpha when the caller already holds it."""
+    makes Lambda - l*lambda1 - lambda2 = 2 i pi h and satisfies |h| <= |l|+2."""
     if trace is not None and trace.case != CASE_T2T3:
         raise NotThirdCase(f"trace case is {trace.case}")
     target = Fraction(precision)
+    fam, n, dec, beta = images.fam, images.n, images.dec, images.beta
     ell = dec.ell
-    if beta is None:
-        beta = fam.beta(n)
     alg = SplittingAlgebra(fam.field)
     mu_split = alg.sigma(dec.xi) * (alg.sigma_bar(beta) - alg.from_k(beta))
     w_split = mu_split * alg.sigma(fam.epsilon ** ell)
@@ -497,12 +515,10 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
     w_sq = None if w_split.is_zero() else w_split * w_split
 
     def step(bits: int):
-        width = Fraction(1, 1 << bits)
-        eps_r, eps_c = fam.epsilon.embed(width)
-        beta_r, beta_c = beta.embed(width)
-        xi_r, xi_c = dec.xi.embed(width)
-        rho = CBox.from_real(xi_r) * (beta_c - beta_c.conj())
-        mu = xi_c * (beta_c.conj() - CBox.from_real(beta_r))
+        im = images.at(bits)
+        eps_c, beta_c = im.eps_c, im.beta_c
+        rho = CBox.from_real(im.xi_r) * (beta_c - beta_c.conj())
+        mu = im.xi_c * (beta_c.conj() - CBox.from_real(im.beta_r))
         w = mu * eps_c.pow_int(ell)
         if w.contains_zero():
             return None
@@ -521,12 +537,11 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
                     and theta_n.width <= target)
         if h is None or not ok_width:
             return None
-        return (bits, eps_r, xi_r, xi_c, rho, mu, w, q, nu, theta_n, two_pi,
-                big_lambda, h)
+        return im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h
 
-    (bits, eps_r, xi_r, xi_c, rho, mu, w, q, nu, theta_n, two_pi, big_lambda,
-     h) = refine(step, bits_for_width(target),
-                 "period count h could not be pinned")
+    im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h = refine(
+        step, bits_for_width(target), "period count h could not be pinned")
+    bits = im.bits
     lambda1 = CBox(RI.point(0), two_pi * nu)
     lambda2 = CBox(RI.point(0), two_pi * theta_n)
 
@@ -534,12 +549,11 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
     checks.append(TraceCheck("h_bound", abs(h) <= abs(ell) + 2,
                              RI.point(abs(ell) + 2 - abs(h)),
                              "period count within |l| + 2"))
-    residual = (rho * CBox.from_real(eps_r.pow_int(ell)) + w - w.conj())
+    residual = (rho * CBox.from_real(im.eps_r.pow_int(ell)) + w - w.conj())
     checks.append(TraceCheck("identity_residual", residual.contains_zero(),
                              RI.point(residual.width),
                              "rho eps^l + mu eps'^l - conj(...) encloses 0"))
-    q_minus_1 = q - CBox.point(1)
-    abs_q1 = q_minus_1.abs(bits)
+    abs_q1 = (q - CBox.point(1)).abs(bits)
     abs_lambda = big_lambda.abs(bits)
     if abs_q1.hi < Fraction(1, 2):
         margin3b = 2 * abs_q1 - abs_lambda
@@ -550,26 +564,21 @@ def lambda_machinery(fam: FormFamily, n: int, dec: Decomposition,
                                  "skipped: |e^Lambda - 1| >= 1/2"))
 
     # quantitative smallness row with its tight constant
-    rows = []
-    decay = ri_sqrt(eps_r, bits).pow_int(-(n + 3 * abs(ell)))
+    scale = im.half_power(-(n + 3 * abs(ell)))
     if k is not None and k >= 2:
-        log_k = ri_log(RI.point(k), bits)
-        kappa9 = house_exponent(abs(xi_r), xi_c.abs(bits), log_k, bits)
-        scale = decay * ri_exp(kappa9 * log_k, bits)
-    else:
-        scale = decay
-    kappa49 = abs_q1 / scale
-    rows.append(LedgerRow(
+        log_k, kappa9 = images.house(k, bits)
+        scale = scale * ri_exp(kappa9 * log_k, bits)
+    row20 = LedgerRow(
         "20", "smallness of the unit-equation ratio", abs_q1,
         "c * eps^(-(n + 3|l|)/2) * k^kappa9", None,
-        empirical_constant=kappa49))
+        empirical_constant=abs_q1 / scale)
 
     mp = alg.min_poly(mu_split)
     lead = to_int_primitive(mp)[0]
     mu_height = height_from_conjugates(lead, alg.embeddings(mu_split, bits),
                                        len(mp) - 1, precision)
     return LambdaData(rho, mu, lambda1, lambda2, big_lambda, h, nu, theta_n,
-                      mu_height, tuple(checks), tuple(rows))
+                      mu_height, tuple(checks), (row20,))
 
 
 def _principal_arg(box: CBox, bits: int, z_sq: SplitElement | None,
@@ -615,9 +624,11 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
     `precision_bits` is the working precision the Siegel step certified at;
     every enclosure is a function of it and of the solution alone."""
     beta = fam.beta(n)
-    dec, kappa9 = decompose_solution(fam, n, x, y, k, precision, beta=beta)
-    trace = siegel_terms(fam, n, dec, precision, beta=beta)
-    rows = inequality_ledger(fam, n, x, y, k, dec, trace, precision)
+    dec = decompose_solution(fam, n, x, y, precision, beta=beta)
+    images = SolutionImages(fam, n, dec, beta)
+    trace = siegel_terms(images, precision)
+    rows = inequality_ledger(images, x, y, k, trace, precision)
+    _, kappa9 = images.house(k, bits_for_width(Fraction(precision)))
     value = norm_form(beta).evaluate(x, y)
     cert = {
         "schema": 2,
@@ -629,7 +640,7 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
         "xi1": [frac_str(c) for c in dec.xi.coords],
         "norm_abs": frac_str(dec.norm_abs),
         "balance": ri_json(dec.balance, 25),
-        "kappa9_emp": ri_json(kappa9, 25) if kappa9 is not None else None,
+        "kappa9_emp": ri_json(kappa9, 25),
         "case": trace.case,
         "degenerate_sines": list(trace.degenerate_sines),
         "terms": {
@@ -647,8 +658,7 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
         "lambda": None,
     }
     if trace.case == CASE_T2T3:
-        lam = lambda_machinery(fam, n, dec, precision, k=k, trace=trace,
-                               beta=beta)
+        lam = lambda_machinery(images, precision, k=k, trace=trace)
         cert["lambda"] = {
             "h": lam.h,
             "nu": ri_json(lam.nu, 30),

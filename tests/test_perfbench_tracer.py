@@ -29,7 +29,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         assert intervals.ri_cos.__wrapped__ is originals[0]
         assert reduction.decompose_solution.__wrapped__ is originals[1]
         fam = cubicthue.example_family(1)
-        reduction.decompose_solution(fam, 0, 1, -1, k=2)
+        reduction.decompose_solution(fam, 0, 1, -1)
         # beta_0 is computed once per decomposition
         assert tracer.group("family.beta").calls == 1
         assert tracer.group("reduction.decompose").calls == 1

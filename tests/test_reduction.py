@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from cubicthue.cubicfield import DEFAULT_PRECISION
 from cubicthue.errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
 from cubicthue.family import make_family
 from cubicthue.heights import regulator
-from cubicthue.intervals import RI, ri_exp, ri_log
+from cubicthue.intervals import RI, bits_for_width, ri_exp, ri_log
 from cubicthue.reduction import ReductionCache, decompose_solution, unit_reduce
 from cubicthue.solver import SearchSpec, solve_box
+from cubicthue.tracer import SolutionImages
 from reference_reduction import reference_unit_reduce
 
 P25 = Fraction(1, 10**25)
 TOL = Fraction(1, 10**9)
+BITS = bits_for_width(DEFAULT_PRECISION)  # the precision certificates print kappa9 at
 
 
 def test_unit_input(fam1):
@@ -91,7 +94,7 @@ def test_conjugate_consistency(fam1):
     # applying the complex embedding to the decomposition reproduces the
     # conjugate linear form within 1e-25
     n, x, y = 0, 1, -1
-    dec, _ = decompose_solution(fam1, n, x, y, k=2)
+    dec = decompose_solution(fam1, n, x, y)
     beta = fam1.beta(n)
     _, beta_c = beta.embed(P25)
     _, eps_c = fam1.epsilon.embed(P25)
@@ -106,10 +109,10 @@ def test_conjugate_consistency(fam1):
 
 
 def test_decompose_known_solution(fam1):
-    dec, kappa9 = decompose_solution(fam1, 0, 1, -1, k=2)
+    dec = decompose_solution(fam1, 0, 1, -1)
     assert dec.norm_abs == 2
     assert (fam1.epsilon ** dec.ell) * dec.xi == fam1.field.element(1) + fam1.beta(0)
-    assert kappa9 is not None
+    _, kappa9 = SolutionImages(fam1, 0, dec).house(2, BITS)
     # xi = cbrt(2): the exponent log(house)/log(2) is exactly 1/3
     assert abs(float(kappa9.mid) - 1 / 3) < 1e-12
 
@@ -146,7 +149,8 @@ def test_empirical_house_exponent_bounded(fam1):
                     continue
                 v = form.evaluate(x, y)
                 if v != 0 and abs(v) <= 10:
-                    _, kappa9 = decompose_solution(fam1, n, x, y, k=10)
+                    dec = decompose_solution(fam1, n, x, y)
+                    _, kappa9 = SolutionImages(fam1, n, dec).house(10, BITS)
                     seen.append(float(kappa9.hi))
     assert seen
     assert max(seen) < 5.0

@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cubicthue import tracer
+from cubicthue.cubicfield import DEFAULT_PRECISION, FieldElement
 from cubicthue.errors import AmbiguousOrdering, NotThirdCase
 from cubicthue.family import example_family, form_at
 from cubicthue.intervals import RI
@@ -14,6 +16,7 @@ from cubicthue.reduction import Decomposition, decompose_solution, unit_reduce
 from cubicthue.solver import SearchSpec, solve_box
 from cubicthue.tracer import (
     CASE_T2T3,
+    SolutionImages,
     certificate_json,
     classify_case,
     family_angles,
@@ -44,12 +47,16 @@ def _solutions(fam, k=10, n_span=6, box=30):
     return out
 
 
+def _images(fam, n, x, y):
+    return SolutionImages(fam, n, decompose_solution(fam, n, x, y))
+
+
 # -- siegel_terms -------------------------------------------------------------
 
 
 def test_sum_encloses_zero(fam1):
-    dec, _ = decompose_solution(fam1, 0, 1, -1, k=2)
-    trace = siegel_terms(fam1, 0, dec)
+    images = _images(fam1, 0, 1, -1)
+    trace = siegel_terms(images)
     total = trace.t1 + trace.t2 + trace.t3
     assert total.contains_zero()
     for check in trace.ledger:
@@ -58,8 +65,8 @@ def test_sum_encloses_zero(fam1):
 
 def test_dual_evaluation_agrees(fam1):
     # the product-form and sine-form paths are independent computations
-    dec, _ = decompose_solution(fam1, 0, 1, -1, k=2)
-    trace = siegel_terms(fam1, 0, dec, P30)
+    images = _images(fam1, 0, 1, -1)
+    trace = siegel_terms(images, P30)
     for t, s in zip(trace.terms, trace.sine_ims):
         assert t.im.overlaps(s)
         assert t.re.contains_zero()
@@ -71,7 +78,7 @@ def test_degenerate_sine_flagged(fam1):
     # a synthetic decomposition with rational xi makes the second term
     # vanish identically
     dec = Decomposition(0, fam1.field.one(), Fraction(1), RI.point(0))
-    trace = siegel_terms(fam1, 0, dec)
+    trace = siegel_terms(SolutionImages(fam1, 0, dec))
     assert "T2" in trace.degenerate_sines
     assert trace.t2.re == RI.point(0) and trace.t2.im == RI.point(0)
 
@@ -79,8 +86,8 @@ def test_degenerate_sine_flagged(fam1):
 def test_purely_imaginary_widths(fam1, fam2):
     for fam in (fam1, fam2):
         for (n, x, y, v) in _solutions(fam, k=8, n_span=4, box=15)[:10]:
-            dec, _ = decompose_solution(fam, n, x, y, k=8)
-            trace = siegel_terms(fam, n, dec, P30)
+            images = _images(fam, n, x, y)
+            trace = siegel_terms(images, P30)
             for t in trace.terms:
                 assert t.re.contains_zero()
                 assert t.re.width <= Fraction(1, 10**20)
@@ -114,8 +121,8 @@ def test_order_terms_ambiguous():
 
 def test_sweep_no_domination_violations(fam1):
     for (n, x, y, v) in _solutions(fam1):
-        dec, _ = decompose_solution(fam1, n, x, y, k=10)
-        trace = siegel_terms(fam1, n, dec)
+        images = _images(fam1, n, x, y)
+        trace = siegel_terms(images)
         case, check = classify_case(trace)
         assert case == trace.case
         assert check.holds
@@ -125,9 +132,9 @@ def test_sweep_no_domination_violations(fam1):
 
 
 def test_ledger_rows_present(fam1):
-    dec, _ = decompose_solution(fam1, 0, 1, -1, k=2)
-    trace = siegel_terms(fam1, 0, dec)
-    rows = inequality_ledger(fam1, 0, 1, -1, 2, dec, trace)
+    images = _images(fam1, 0, 1, -1)
+    trace = siegel_terms(images)
+    rows = inequality_ledger(images, 1, -1, 2, trace)
     ids = [r.row_id for r in rows]
     assert "8" in ids
     assert any(i in ids for i in ("9", "12"))
@@ -136,9 +143,9 @@ def test_ledger_rows_present(fam1):
 
 
 def test_ledger_negative_index_notes_swap(fam1):
-    dec, _ = decompose_solution(fam1, -2, 1, -1, k=10)
-    trace = siegel_terms(fam1, -2, dec)
-    rows = inequality_ledger(fam1, -2, 1, -1, 10, dec, trace)
+    images = _images(fam1, -2, 1, -1)
+    trace = siegel_terms(images)
+    rows = inequality_ledger(images, 1, -1, 10, trace)
     assert rows[0].row_id == "swap"
 
 
@@ -147,9 +154,9 @@ def test_ledger_alternate_branch_on_failed_dominance(fam1):
     # row 8 fails and the fallback branch row must appear
     n, x, y = -2, 1, -1
     assert form_at(fam1, n).evaluate(x, y) == 2
-    dec, _ = decompose_solution(fam1, n, x, y, k=10)
-    trace = siegel_terms(fam1, n, dec)
-    rows = inequality_ledger(fam1, n, x, y, 10, dec, trace)
+    images = _images(fam1, n, x, y)
+    trace = siegel_terms(images)
+    rows = inequality_ledger(images, x, y, 10, trace)
     by_id = {r.row_id: r for r in rows}
     assert by_id["8"].holds is False
     assert "8-alt" in by_id
@@ -157,9 +164,9 @@ def test_ledger_alternate_branch_on_failed_dominance(fam1):
 
 def test_ledger_margins_finite(fam1):
     for (n, x, y, v) in _solutions(fam1, k=10, n_span=5, box=20)[:12]:
-        dec, _ = decompose_solution(fam1, n, x, y, k=10)
-        trace = siegel_terms(fam1, n, dec)
-        for row in inequality_ledger(fam1, n, x, y, 10, dec, trace):
+        images = _images(fam1, n, x, y)
+        trace = siegel_terms(images)
+        for row in inequality_ledger(images, x, y, 10, trace):
             if row.empirical_constant is not None:
                 assert row.empirical_constant.width < 1
 
@@ -170,19 +177,19 @@ def test_ledger_margins_finite(fam1):
 def _third_case_solutions(fam, k=10):
     out = []
     for (n, x, y, v) in _solutions(fam, k=k):
-        dec, _ = decompose_solution(fam, n, x, y, k=k)
-        trace = siegel_terms(fam, n, dec)
+        images = _images(fam, n, x, y)
+        trace = siegel_terms(images)
         if trace.case == CASE_T2T3:
-            out.append((n, x, y, dec, trace))
+            out.append((n, x, y, images, trace))
     return out
 
 
 def test_lambda_h_bound_over_sweep(fam1):
     sols = _third_case_solutions(fam1)
     assert sols
-    for n, x, y, dec, trace in sols:
-        lam = lambda_machinery(fam1, n, dec, k=10, trace=trace)
-        assert abs(lam.h) <= abs(dec.ell) + 2
+    for n, x, y, images, trace in sols:
+        lam = lambda_machinery(images, k=10, trace=trace)
+        assert abs(lam.h) <= abs(images.dec.ell) + 2
         for check in lam.checks:
             assert check.holds, (n, x, y, check)
         assert 0 <= float(lam.nu.mid) < 1
@@ -194,25 +201,25 @@ def test_lambda_trivial_branch(fam1):
     # realize the h = 0, small-Lambda situation through a synthetic
     # decomposition with rational xi
     dec = Decomposition(0, fam1.field.element(1), Fraction(1), RI.point(0))
-    lam = lambda_machinery(fam1, 0, dec)
+    lam = lambda_machinery(SolutionImages(fam1, 0, dec))
     assert lam.h in (-1, 0, 1)
     assert abs(lam.h) <= 2
 
 
 def test_lambda_rejects_wrong_case(fam1):
-    dec, _ = decompose_solution(fam1, 0, 1, -1, k=2)
-    trace = siegel_terms(fam1, 0, dec)
+    images = _images(fam1, 0, 1, -1)
+    trace = siegel_terms(images)
     assert trace.case != CASE_T2T3
     with pytest.raises(NotThirdCase):
-        lambda_machinery(fam1, 0, dec, trace=trace)
+        lambda_machinery(images, trace=trace)
 
 
 def test_lemma3b_inequality_direct(fam1):
     # |e^Lambda - 1| >= |Lambda| / 2, cross-checked by direct complex
     # arithmetic at high precision
     sols = _third_case_solutions(fam1)
-    n, x, y, dec, trace = sols[0]
-    lam = lambda_machinery(fam1, n, dec, k=10, trace=trace)
+    n, x, y, images, trace = sols[0]
+    lam = lambda_machinery(images, k=10, trace=trace)
     with mpmath.workdps(50):
         lam_mid = mpmath.mpc(float(lam.Lambda.re.mid), float(lam.Lambda.im.mid))
         direct = abs(mpmath.exp(lam_mid) - 1)
@@ -222,8 +229,8 @@ def test_lemma3b_inequality_direct(fam1):
 def test_mu_height_growth(fam1):
     # h(mu_n) <= C (n + log k) for a bounded empirical C over the sweep
     ratios = []
-    for n, x, y, dec, trace in _third_case_solutions(fam1):
-        lam = lambda_machinery(fam1, n, dec, k=10, trace=trace)
+    for n, x, y, images, trace in _third_case_solutions(fam1):
+        lam = lambda_machinery(images, k=10, trace=trace)
         h_mu = float(lam.mu_height.height.hi)
         scale = abs(n) + mpmath.log(10)
         ratios.append(h_mu / float(scale))
@@ -248,7 +255,7 @@ def test_certificate_structure(fam1):
 
 def test_certificate_third_case_has_lambda(fam1):
     sols = _third_case_solutions(fam1)
-    n, x, y, dec, trace = sols[0]
+    n, x, y, images, trace = sols[0]
     cert = trace_certificate(fam1, n, x, y, 10)
     assert cert["lambda"] is not None
     assert abs(cert["lambda"]["h"]) <= abs(cert["ell"]) + 2
@@ -283,3 +290,32 @@ def test_certificates_do_not_depend_on_history():
     assert first == again
     cert = json.loads(first[0])
     assert cert["schema"] == 2 and cert["precision_bits"] >= 100
+
+
+def test_stages_embed_each_element_once_per_precision(monkeypatch):
+    # after the decomposition, the stages share one embedding of epsilon,
+    # alpha, xi and beta_n per working precision, whatever the case
+    widths = []
+    embed = FieldElement.embed
+    decompose = tracer.decompose_solution
+
+    def counted_embed(self, precision=DEFAULT_PRECISION):
+        widths.append(Fraction(precision))
+        return embed(self, precision)
+
+    def decompose_then_count(*args, **kwargs):
+        result = decompose(*args, **kwargs)
+        widths.clear()
+        return result
+
+    fam = example_family(1)
+    records = solve_box(fam, SearchSpec(k=100, n_lo=-10, n_hi=10,
+                                        y_max=20000), with_decomposition=False)
+    monkeypatch.setattr(FieldElement, "embed", counted_embed)
+    monkeypatch.setattr(tracer, "decompose_solution", decompose_then_count)
+    cases = set()
+    for r in records[::16]:
+        cert = trace_certificate(fam, r.n, r.x, r.y, 100)
+        cases.add(cert["case"])
+        assert len(widths) <= 4 * len(set(widths)), (r, widths)
+    assert CASE_T2T3 in cases and len(cases) == 3
