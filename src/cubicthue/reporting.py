@@ -29,11 +29,11 @@ def frac_str(f: Fraction) -> str:
 
 
 def ri_json(x: RI, digits: int = 40) -> dict:
-    return {
-        "mid": frac_to_decimal(x.mid, digits),
-        # radius rounded up so the reported enclosure stays valid
-        "rad": frac_to_decimal(x.rad, 3, decimal.ROUND_UP),
-    }
+    """`mid` to `digits` significant digits and `rad` rounded up to 3, so
+    that mid +- rad contains x: `rad` covers the rounding error of `mid`."""
+    mid = frac_to_decimal(x.mid, digits)
+    err = abs(Fraction(decimal.Decimal(mid)) - x.mid)
+    return {"mid": mid, "rad": frac_to_decimal(x.rad + err, 3, decimal.ROUND_UP)}
 
 
 def cbox_json(z: CBox, digits: int = 40) -> dict:
