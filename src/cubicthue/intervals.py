@@ -55,7 +55,13 @@ def bits_for_width(width) -> int:
     w = Fraction(width) if not isinstance(width, Fraction) else width
     if w <= 0:
         raise ValueError("width target must be positive")
-    return max(24, -math.floor(math.log2(w)) + GUARD_BITS)
+    # e = floor(log2 w), exactly and at any size: w is within a factor 2 of
+    # 2^e for e the difference of the bit lengths, and one comparison decides
+    p, q = w.numerator, w.denominator
+    e = p.bit_length() - q.bit_length()
+    if p << max(0, -e) < q << max(0, e):
+        e -= 1
+    return max(24, GUARD_BITS - e)
 
 
 # Ceiling on the working precision of every certified refinement loop.

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicthue.errors import PrecisionExhausted
+from cubicthue.family import example_family
 from cubicthue.intervals import (
+    GUARD_BITS,
     KEEP_BITS,
     MAX_BITS,
     CBox,
@@ -127,6 +129,36 @@ def test_bits_for_width():
     assert bits_for_width(Fraction(1, 10**30)) >= 100
     with pytest.raises(ValueError):
         bits_for_width(0)
+
+
+def test_bits_for_width_is_exact_below_the_float_range():
+    # floor(log2 w) from bit lengths agrees with the float route wherever
+    # that route works, and goes on below 2^-1074, where the float is 0
+    widths = ([Fraction(1, 10**n) for n in range(1, 300)]
+              + [Fraction(1, 1 << j) for j in range(1070)]
+              + [Fraction(3, 7), Fraction(5), Fraction(10**9 + 1, 3)])
+    for w in widths:
+        assert bits_for_width(w) == max(24, GUARD_BITS - math.floor(math.log2(w)))
+    assert bits_for_width(Fraction(1, 1 << 1075)) == bits_for_width(
+        Fraction(1, 1 << 1074)) + 1
+    real, _ = example_family(1).epsilon.embed(Fraction(1, 1 << 1075))
+    assert real.width <= Fraction(1, 1 << 1075)
+
+
+def test_embedding_loop_reaches_the_cap():
+    # every doubling embeds at the precision it asks for, past 2048 bits,
+    # until the cap ends the loop
+    epsilon = example_family(1).epsilon
+    tries = []
+
+    def step(bits):
+        tries.append(bits)
+        epsilon.embed(Fraction(1, 1 << bits))
+        return None
+
+    with pytest.raises(PrecisionExhausted, match="stalled"):
+        refine(step, 1536, "stalled")
+    assert tries == [1536, 3072, 6144, 12288] and 2 * tries[-1] > MAX_BITS
 
 
 # -- refine ----------------------------------------------------------------------
