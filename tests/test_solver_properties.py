@@ -36,6 +36,22 @@ CAP_WITNESS = family_from_json(
     '"epsilon":["1","1","1"]}')
 
 
+def _unit(field):
+    """epsilon = +-g^(+-1), signed and inverted so its real image exceeds 1."""
+    g = field.gen()
+    real = g.real_embedding(Fraction(1, 1 << 64))
+    assert real.sign_definite()
+    unit = g if abs(real).lo > 1 else g.inverse()
+    # g and 1/g have the same sign
+    return unit if real.is_positive() else -unit
+
+
+# ri_atan2 without its endpoint padding fails dual_form_T2 here, at
+# (n, x, y) = (-1, -6, -1) with |F| = 1
+_G6 = make_field((1, -6, 0, -1))
+ATAN2_WITNESS = make_family(_G6, _G6.gen() ** 2, _unit(_G6))
+
+
 @st.composite
 def families(draw, coeff: int = 6, alpha_coeff: int = 3):
     a1 = draw(st.integers(-coeff, coeff))
@@ -45,12 +61,7 @@ def families(draw, coeff: int = 6, alpha_coeff: int = 3):
         field = make_field((1, a1, a2, a3))
     except (ReduciblePolynomial, TotallyReal):
         assume(False)
-    g = field.gen()
-    real = g.real_embedding(Fraction(1, 1 << 64))
-    assert real.sign_definite()
-    unit = g if abs(real).lo > 1 else g.inverse()
-    # g and 1/g have the same sign
-    epsilon = unit if real.is_positive() else -unit
+    epsilon = _unit(field)
     c0, c1, c2 = draw(st.tuples(*[st.integers(-alpha_coeff, alpha_coeff)] * 3)
                       .filter(lambda c: c[1:] != (0, 0)))
     return make_family(field, field.element(c0, c1, c2), epsilon)
@@ -174,6 +185,7 @@ IDENTITY_CHECKS = ("sum_zero", "dual_form_T1", "dual_form_T2", "dual_form_T3")
 @settings(deadline=None, max_examples=30)
 @given(fam=families(), spec=boxes(k_min=2, k_max=60, n_abs=4, y_max=300))
 @example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40))
+@example(fam=ATAN2_WITNESS, spec=SearchSpec(k=2, n_lo=-1, n_hi=-1, y_max=1))
 def test_certificate_identity_checks_on_random_families(fam, spec):
     for record in solve_box(fam, spec, with_decomposition=False)[:3]:
         cert = trace_certificate(fam, record.n, record.x, record.y, spec.k)
