@@ -148,10 +148,14 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
                    and seq.values[-2] == -3 * fam.D)
         yield "recurrence_initial_values", init_ok, "a_0, a_-1, a_-2"
         mism = seq.printed_order_mismatch
+        # both orders give the same a_1 when D is 0 or +-1
+        trivial = fam.D in (0, 1, -1)
         yield ("reversed_recurrence_detected",
-               fam.D in (0, 1, -1) or not mism["orders_agree"],
+               trivial or not mism["orders_agree"],
                f"reversed order predicts {mism['reversed_order_predicts_a1']}, "
-               f"trace gives {mism['trace_a1']}")
+               f"trace gives {mism['trace_a1']}"
+               + ("; passes by construction on D in {0, +-1}" if trivial
+                  else ""))
 
     h = abs_log_height(fam.epsilon, tight).height
     diff = h - reg / 3

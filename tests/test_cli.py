@@ -155,6 +155,10 @@ def test_verify_passes(capsys):
     # the literal loop covers the whole y_max = 30 box of D = 1
     assert ("[D=1] ok   naive_oracle_equivalence: literal triple loop, "
             "y_max' = 30, 5522580 cells" in out.splitlines())
+    # on D = 1 the reversed order cannot disagree, and the line says so
+    assert ("[D=1] ok   reversed_recurrence_detected: reversed order predicts "
+            "15, trace gives 15; passes by construction on D in {0, +-1}"
+            in out.splitlines())
 
 
 def test_verify_names_a_sub_box_over_the_cell_budget(monkeypatch, capsys):
@@ -242,6 +246,36 @@ def test_verify_unit_reduction_can_fail(monkeypatch, capsys):
     assert ("[D=1] FAIL unit_reduction: exact reconstruction and balance "
             "<= R/2 + 1e-9" in out.splitlines())
     assert "unit_reduction" in err
+
+
+def test_verify_solver_equivalence_can_fail(monkeypatch, capsys):
+    # a pruned solver that drops a row disagrees with the oracle
+    real = cubicthue.cli.solve_box
+
+    def lossy(*args, **kwargs):
+        return real(*args, **kwargs)[1:]
+
+    monkeypatch.setattr(cubicthue.cli, "solve_box", lossy)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL solver_equivalence: 11 solutions, y_max = 30"
+            in out.splitlines())
+    assert "solver_equivalence" in err
+
+
+def test_verify_height_equals_regulator_third_can_fail(monkeypatch, capsys):
+    # a regulator shifted by 3e-6 moves R/3 away from h(epsilon) by 1e-6
+    real = cubicthue.cli.regulator
+
+    def shifted(fam, precision):
+        return real(fam, precision) + Fraction(3, 10**6)
+
+    monkeypatch.setattr(cubicthue.cli, "regulator", shifted)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL height_equals_regulator_third: |h - R/3| <= 1.00e-06"
+            in out.splitlines())
+    assert "height_equals_regulator_third" in err
 
 
 def test_verify_corrupted_family_file_exit_5(tmp_path, capsys):
