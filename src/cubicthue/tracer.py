@@ -130,7 +130,6 @@ class Images:
 
     def __init__(self, sol: SolutionImages, bits: int):
         width = Fraction(1, 1 << bits)
-        self.bits = bits
         self.eps_r, self.eps_c = sol.fam.epsilon.embed(width)
         self.alpha_r, self.alpha_c = sol.fam.alpha.embed(width)
         self.xi_r, self.xi_c = sol.dec.xi.embed(width)
@@ -149,9 +148,8 @@ class SolutionImages:
     x - beta_n y, and its `Images`, made once per working precision."""
 
     def __init__(self, fam: FormFamily, n: int, dec: Decomposition,
-                 beta: FieldElement | None = None):
-        self.fam, self.n, self.dec = fam, n, dec
-        self.beta = fam.beta(n) if beta is None else beta
+                 beta: FieldElement):
+        self.fam, self.n, self.dec, self.beta = fam, n, dec, beta
         self._levels: dict[int, Images] = {}
         self._house: dict[tuple[int, int], tuple[RI, RI]] = {}
 
@@ -400,12 +398,14 @@ def inequality_ledger(images: SolutionImages, x: int, y: int, k: int,
     abs_y = RI.point(abs(y))
     big_a = (eps_r.pow_int(ell) * abs_xi).max_with(half_power(-ell) * abs_xi_c)
     big_b = eps_r.pow_int(n) * abs_alpha
-    margin_y = 4 * big_a / big_b - abs_y
+    lhs_y = abs_y
+    rhs_y = 4 * big_a / big_b
+    margin_y = rhs_y - lhs_y
     row_id = "9" if ell <= 0 else "12"
     kappa_y = (abs_y * half_power(2 * n - abs(ell)) / k_pow_kappa9
                if ell <= 0 else abs_y * half_power(2 * (n - ell)) / k_pow_kappa9)
     rows.append(LedgerRow(
-        row_id, "|y| against the balanced numerator bound", abs_y,
+        row_id, "|y| against the balanced numerator bound", lhs_y,
         "4 max(eps^l |xi|, eps^(|l|/2) |xi'|) / (eps^n |alpha|)",
         True if margin_y.lo >= 0 else (False if margin_y.hi < 0 else None),
         margin_y, kappa_y,
@@ -489,7 +489,10 @@ def _angle01(box: CBox, bits: int, z_sq: SplitElement | None,
 
 def _unique_integer(x: RI) -> int | None:
     lo = math.ceil(x.lo)
-    return lo if lo == math.floor(x.hi) else None
+    hi = math.floor(x.hi)
+    if lo == hi:
+        return lo
+    return None
 
 
 def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
@@ -537,11 +540,10 @@ def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
                     and theta_n.width <= target)
         if h is None or not ok_width:
             return None
-        return im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h
+        return bits, im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h
 
-    im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h = refine(
+    bits, im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h = refine(
         step, bits_for_width(target), "period count h could not be pinned")
-    bits = im.bits
     lambda1 = CBox(RI.point(0), two_pi * nu)
     lambda2 = CBox(RI.point(0), two_pi * theta_n)
 

@@ -112,7 +112,7 @@ def test_decompose_known_solution(fam1):
     dec = decompose_solution(fam1, 0, 1, -1)
     assert dec.norm_abs == 2
     assert (fam1.epsilon ** dec.ell) * dec.xi == fam1.field.element(1) + fam1.beta(0)
-    _, kappa9 = SolutionImages(fam1, 0, dec).house(2, BITS)
+    _, kappa9 = SolutionImages(fam1, 0, dec, fam1.beta(0)).house(2, BITS)
     # xi = cbrt(2): the exponent log(house)/log(2) is exactly 1/3
     assert abs(float(kappa9.mid) - 1 / 3) < 1e-12
 
@@ -150,7 +150,8 @@ def test_empirical_house_exponent_bounded(fam1):
                 v = form.evaluate(x, y)
                 if v != 0 and abs(v) <= 10:
                     dec = decompose_solution(fam1, n, x, y)
-                    _, kappa9 = SolutionImages(fam1, n, dec).house(10, BITS)
+                    images = SolutionImages(fam1, n, dec, fam1.beta(n))
+                    _, kappa9 = images.house(10, BITS)
                     seen.append(float(kappa9.hi))
     assert seen
     assert max(seen) < 5.0

@@ -48,7 +48,8 @@ def _solutions(fam, k=10, n_span=6, box=30):
 
 
 def _images(fam, n, x, y):
-    return SolutionImages(fam, n, decompose_solution(fam, n, x, y))
+    return SolutionImages(fam, n, decompose_solution(fam, n, x, y),
+                          fam.beta(n))
 
 
 # -- siegel_terms -------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_degenerate_sine_flagged(fam1):
     # a synthetic decomposition with rational xi makes the second term
     # vanish identically
     dec = Decomposition(0, fam1.field.one(), Fraction(1), RI.point(0))
-    trace = siegel_terms(SolutionImages(fam1, 0, dec))
+    trace = siegel_terms(SolutionImages(fam1, 0, dec, fam1.beta(0)))
     assert "T2" in trace.degenerate_sines
     assert trace.t2.re == RI.point(0) and trace.t2.im == RI.point(0)
 
@@ -201,7 +202,7 @@ def test_lambda_trivial_branch(fam1):
     # realize the h = 0, small-Lambda situation through a synthetic
     # decomposition with rational xi
     dec = Decomposition(0, fam1.field.element(1), Fraction(1), RI.point(0))
-    lam = lambda_machinery(SolutionImages(fam1, 0, dec))
+    lam = lambda_machinery(SolutionImages(fam1, 0, dec, fam1.beta(0)))
     assert lam.h in (-1, 0, 1)
     assert abs(lam.h) <= 2
 
