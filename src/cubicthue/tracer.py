@@ -555,7 +555,8 @@ def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
     checks.append(TraceCheck("identity_residual", residual.contains_zero(),
                              RI.point(residual.width),
                              "rho eps^l + mu eps'^l - conj(...) encloses 0"))
-    abs_q1 = (q - CBox.point(1)).abs(bits)
+    q_minus_1 = q - CBox.point(1)
+    abs_q1 = q_minus_1.abs(bits)
     abs_lambda = big_lambda.abs(bits)
     if abs_q1.hi < Fraction(1, 2):
         margin3b = 2 * abs_q1 - abs_lambda
