@@ -37,7 +37,8 @@ Two independent enumeration paths cover the same box and must agree:
   floating root approximation merely seeds the search; correctness rests on
   the exact monotone bracketing alone.  `naive=True` forces the literal
   triple loop for small boxes: every cell of the box is evaluated exactly,
-  by Horner's rule in x on the y-powers hoisted once per row (n, y).
+  by exact forward differences along each row (n, y), where F is a monic
+  cubic in x whose third difference is the constant 6 a0.
 """
 
 from __future__ import annotations
@@ -376,13 +377,13 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
 # -- oracle -----------------------------------------------------------------------
 
 
-def _real_root_float(form: BinaryCubicForm):
+def _real_root_float(form: BinaryCubicForm) -> float:
     """Float seed for the real root of F(t, 1); accuracy is not load-bearing."""
     with mpmath.workdps(60):
         roots = mpmath.polyroots([form.a0, form.a1, form.a2, form.a3],
                                  maxsteps=200, extraprec=120)
         real = [r for r in roots if abs(mpmath.im(r)) < 1e-30]
-        return mpmath.mpf(mpmath.re(real[0])) if real else mpmath.mpf(0)
+        return float(mpmath.re(real[0])) if real else 0.0
 
 
 def _window_on_monotone(evaluate, y: int, lo: int, hi: int, k: int,
@@ -440,10 +441,12 @@ def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
     the line splits into increasing / decreasing / increasing at the two
     critical points.  Integer bounds for the pieces come from the exact
     integer square root; the few integers between the outer and inner
-    bounds around each critical point are evaluated directly."""
+    bounds around each critical point are evaluated directly.  Each row's
+    galloping starts at round(root * y), with root the float real root: a
+    float product per row, and a seed that only steers the search."""
     a0, a1, a2, _ = form.coefficients
     assert a0 > 0, "family forms are monic"
-    root_seed = _real_root_float(form)
+    root = _real_root_float(form)
     disc = a1 * a1 - 3 * a0 * a2  # critical points exist iff positive
     evaluate = form.evaluate
     for y in range(-spec.y_max, spec.y_max + 1):
@@ -466,7 +469,7 @@ def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
                                 min(outer_right, cap + 1)))
         else:
             pieces.append((-cap, cap, True))
-        seed = int(mpmath.nint(root_seed * y))
+        seed = round(root * y)
         for lo, hi, increasing in pieces:
             window = _window_on_monotone(evaluate, y, lo, hi, spec.k,
                                          increasing,
@@ -484,20 +487,30 @@ def _naive_index(found: dict, spec: SearchSpec, cap: int, n: int,
                  form: BinaryCubicForm) -> None:
     """Literal scan of every cell (x, y), |x| <= cap, 0 < |y| <= y_max.
 
-    Each row y hoists a1 y, a2 y^2 and a3 y^3, and each cell's value
-    F(x, y) = ((a0 x + a1 y) x + a2 y^2) x + a3 y^3 is computed exactly from
-    them and x alone; only a nonzero value in [-k, k] reaches `_collect`."""
+    Along a row y, F(x, y) = a0 x^3 + a1 y x^2 + a2 y^2 x + a3 y^3 is a cubic
+    in x with constant third forward difference 6 a0.  Each row computes F
+    and its first two differences at x = -cap from the hoisted y-powers,
+    then steps to x + 1 by three exact integer additions, so every cell's
+    value is exact; only a nonzero value in [-k, k] reaches `_collect`."""
     a0, a1, a2, a3 = form.coefficients
-    k = spec.k
-    xs = range(-cap, cap + 1)
+    k, neg_k = spec.k, -spec.k
+    x0 = -cap
+    xs = range(x0, cap + 1)
+    d3 = 6 * a0
     for y in range(-spec.y_max, spec.y_max + 1):
         if y == 0:
             continue
         b1, b2, b3 = a1 * y, a2 * y * y, a3 * y**3
+        # F(x0), F(x0 + 1) - F(x0) and the second difference at x0
+        v = ((a0 * x0 + b1) * x0 + b2) * x0 + b3
+        d1 = a0 * (3 * x0 * (x0 + 1) + 1) + b1 * (2 * x0 + 1) + b2
+        d2 = d3 * (x0 + 1) + 2 * b1
         for x in xs:
-            v = ((a0 * x + b1) * x + b2) * x + b3
-            if v and -k <= v <= k:
+            if neg_k <= v <= k and v:
                 _collect(found, spec, cap, n, x, y, v, False)
+            v += d1
+            d1 += d2
+            d2 += d3
     _trivial_axis_solutions(found, spec, cap, n, form, False)
 
 
@@ -509,8 +522,9 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     The default path is exhaustive-equivalent: on each monotone piece of the
     integer cubic it brackets the window |F| <= k by exact binary search, so
     its output equals a literal scan of every x in the box.  `naive=True`
-    performs that literal scan (use only on small boxes): one exact Horner
-    row per (n, y), with no pruning, window or symmetry."""
+    performs that literal scan (use only on small boxes): one row of exact
+    forward differences per (n, y), every cell visited, with no pruning,
+    window or symmetry."""
     found: dict = {}
     if spec.k == 0:
         return []

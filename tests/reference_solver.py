@@ -1,10 +1,11 @@
 """Per-cell reference scan of a solver box, for tests only.
 
-`brute_force_oracle(..., naive=True)` evaluates each row by Horner's rule on
-hoisted y-powers and hands only values in [-k, k] to the collection rules.
-This reference makes one `form.evaluate(x, y)` call per cell of the whole
-box, the axes and degenerate indices included, and applies the rules of a
-solution itself, so the two agree only if the fast scan skips no cell.
+`brute_force_oracle(..., naive=True)` steps along each row by exact forward
+differences started from hoisted y-powers and hands only values in [-k, k]
+to the collection rules.  This reference makes one `form.evaluate(x, y)`
+call per cell of the whole box, the axes and degenerate indices included,
+and applies the rules of a solution itself, so the two agree only if the
+fast scan skips no cell and steps to no wrong value.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import cubicthue.cli
 from cubicthue.cli import main
 from cubicthue.config import PRECISION_ENV, Config, load_config
 from cubicthue.cubicfield import DEFAULT_PRECISION
-from cubicthue.family import example_family, family_to_json
+from cubicthue.family import example_family, family_to_json, form_at
 from cubicthue.reduction import Decomposition
 from reference_reduction import reference_balance
 
@@ -276,6 +276,49 @@ def test_verify_height_equals_regulator_third_can_fail(monkeypatch, capsys):
     assert ("[D=1] FAIL height_equals_regulator_third: |h - R/3| <= 1.00e-06"
             in out.splitlines())
     assert "height_equals_regulator_third" in err
+
+
+def test_verify_swap_identity_can_fail(monkeypatch, capsys):
+    # F_(-n)(X, Y) compared with -F_(n-1)(Y, X), one index off, must fail
+    def off_by_one(fam, n):
+        lhs = form_at(fam, -n)
+        rhs = -form_at(fam, n - 1).swapped()
+        return lhs.coefficients == rhs.coefficients, {}
+
+    monkeypatch.setattr(cubicthue.cli, "swap_identity_check", off_by_one)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL swap_identity: F_(-n)(X,Y) = -F_(n-2)(Y,X) on "
+            "[-10, 10]" in out.splitlines())
+    assert "swap_identity" in err
+
+
+def test_verify_recurrence_initial_values_can_fail(monkeypatch, capsys):
+    # a sequence indexed as a_n = trace(eps^n), one slot off from
+    # trace(eps^(n+1)), gives a_-1 = trace(eps^-1) = -3 instead of 3
+    real = cubicthue.cli.coefficient_sequence
+
+    def shifted(D, n_lo, n_hi):
+        seq = real(D, n_lo, n_hi)
+        return dataclasses.replace(
+            seq, values={n + 1: v for n, v in seq.values.items()})
+
+    monkeypatch.setattr(cubicthue.cli, "coefficient_sequence", shifted)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL recurrence_initial_values: a_0, a_-1, a_-2"
+            in out.splitlines())
+    assert "recurrence_initial_values" in err
+
+
+def test_verify_conjugate_modulus_can_fail(monkeypatch, capsys):
+    # a square root that returns its argument compares |eps'| with eps^-1
+    monkeypatch.setattr(cubicthue.cli, "ri_sqrt", lambda x, bits: x)
+    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    assert code == 5
+    assert ("[D=1] FAIL conjugate_modulus: |eps'| = eps^(-1/2) within 1e-20"
+            in out.splitlines())
+    assert "conjugate_modulus" in err
 
 
 def test_verify_corrupted_family_file_exit_5(tmp_path, capsys):

@@ -132,6 +132,35 @@ def test_naive_oracle_equals_per_cell_reference_with_degenerate_index(D):
         assert any(r.degenerate for r in reference)
 
 
+def test_derandomized_profile_keeps_the_example_counts():
+    # HYPOTHESIS_PROFILE=derandomized (see conftest) fixes the examples only
+    profile = settings.get_profile("derandomized")
+    assert profile.derandomize and profile.database is None
+    assert profile.max_examples == settings.get_profile("default").max_examples
+
+
+def test_naive_oracle_equals_per_cell_reference_on_long_rows():
+    # F_3 = X^3 - 219 X^2 Y - 21 X Y^2 - Y^3 on D = 1: rows of 5,261 cells
+    # whose values pass 2^30 at the row ends, and every solution lies near
+    # x = 0, some 2,600 forward-difference steps into its row
+    fam = example_family(1)
+    spec = SearchSpec(k=500, n_lo=3, n_hi=3, y_max=12)
+    reference = _naive_equals_reference(fam, spec)
+    assert len(reference) == 8
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("n", [-3, -2, -1, 0, 1])
+def test_naive_oracle_equals_per_cell_reference_on_tiny_boxes(D, n):
+    # k = 1, y_max = 1: x_cap is as small as 2, so a row has 5 cells and
+    # the start values F, d1, d2 at x = -x_cap span most of it
+    fam = example_family(D)
+    spec = SearchSpec(k=1, n_lo=n, n_hi=n, y_max=1, exclude_degenerate=False)
+    for exclude_trivial in (True, False):
+        _naive_equals_reference(fam, replace(spec,
+                                             exclude_trivial=exclude_trivial))
+
+
 @settings(deadline=None, max_examples=25)
 @given(fam=families(),
        gammas=st.lists(st.tuples(*[st.integers(-50, 50)] * 3)
