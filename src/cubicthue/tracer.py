@@ -14,9 +14,9 @@ escalation; a decision that cannot be made at the precision cap
 (`intervals.MAX_BITS`) raises instead of guessing.
 
 The stages read one `SolutionImages` per solution, which embeds epsilon,
-alpha and xi once per working precision, and beta_n only when the lambda
-stage first reads it; every enclosure depends on (element, bits) alone, so
-sharing them changes no output.
+alpha and xi once per working precision (the lambda stage, the only reader
+of beta_n's images, embeds beta_n itself); every enclosure depends on
+(element, bits) alone, so sharing them changes no output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .cubicfield import (
     DEFAULT_PRECISION,
@@ -128,14 +127,13 @@ class LambdaData:
 
 class Images:
     """Real (`_r`) and complex (`_c`) images of epsilon, alpha and xi at one
-    working precision, with sqrt(epsilon), |alpha'| and |xi'|; beta_n's
-    images are built on first read."""
+    working precision, with sqrt(epsilon), |alpha'| and |xi'|."""
 
     def __init__(self, sol: SolutionImages, bits: int):
-        self._beta_n, self._width = sol.beta, Fraction(1, 1 << bits)
-        self.eps_r, self.eps_c = sol.fam.epsilon.embed(self._width)
-        self.alpha_r, self.alpha_c = sol.fam.alpha.embed(self._width)
-        self.xi_r, self.xi_c = sol.dec.xi.embed(self._width)
+        width = Fraction(1, 1 << bits)
+        self.eps_r, self.eps_c = sol.fam.epsilon.embed(width)
+        self.alpha_r, self.alpha_c = sol.fam.alpha.embed(width)
+        self.xi_r, self.xi_c = sol.dec.xi.embed(width)
         self.sqeps = ri_sqrt(self.eps_r, bits)
         self.abs_alpha_c = self.alpha_c.abs(bits)
         self.abs_xi_c = self.xi_c.abs(bits)
@@ -143,12 +141,6 @@ class Images:
     def half_power(self, two_j: int) -> RI:
         """epsilon^(two_j / 2), that is |epsilon'|^(-two_j)."""
         return self.sqeps.pow_int(two_j)
-
-    @cached_property
-    def beta(self) -> tuple[RI, CBox]:
-        """(real, complex) images of beta_n; only `lambda_machinery` reads
-        them, so most certificates never embed beta_n."""
-        return self._beta_n.embed(self._width)
 
 
 class SolutionImages:
@@ -527,7 +519,8 @@ def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
 
     def step(bits: int):
         im = images.at(bits)
-        eps_c, (beta_r, beta_c) = im.eps_c, im.beta
+        eps_c = im.eps_c
+        beta_r, beta_c = beta.embed(Fraction(1, 1 << bits))
         rho = CBox.from_real(im.xi_r) * (beta_c - beta_c.conj())
         mu = im.xi_c * (beta_c.conj() - CBox.from_real(beta_r))
         w = mu * eps_c.pow_int(ell)

@@ -1,12 +1,11 @@
 """Shared fixtures: families and precision targets used across the suite.
 
-Property tests run hypothesis's random `default` profile.  Setting
-HYPOTHESIS_PROFILE=derandomized runs the same examples on every run, from a
-seed derived from each test, without the example database; it keeps every
-test's `max_examples`.
+Property tests run hypothesis's random `default` profile.  To repeat a run,
+pass `--hypothesis-seed=N`, or `--hypothesis-profile=derandomized` for the
+same examples on every run from a seed derived from each test; neither
+changes a test's `max_examples`.
 """
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -15,8 +14,6 @@ from hypothesis import settings
 from cubicthue import example_family
 
 settings.register_profile("derandomized", derandomize=True)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 P20 = Fraction(1, 10**20)
 P25 = Fraction(1, 10**25)

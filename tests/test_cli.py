@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import cubicthue.cli
+import cubicthue.family
 from cubicthue.cli import main
 from cubicthue.config import PRECISION_ENV, Config, load_config
 from cubicthue.cubicfield import DEFAULT_PRECISION
-from cubicthue.family import example_family, family_to_json, form_at
+from cubicthue.family import example_family, family_to_json
 from cubicthue.reduction import Decomposition
 from reference_reduction import reference_balance
 
@@ -279,13 +280,13 @@ def test_verify_height_equals_regulator_third_can_fail(monkeypatch, capsys):
 
 
 def test_verify_swap_identity_can_fail(monkeypatch, capsys):
-    # F_(-n)(X, Y) compared with -F_(n-1)(Y, X), one index off, must fail
-    def off_by_one(fam, n):
-        lhs = form_at(fam, -n)
-        rhs = -form_at(fam, n - 1).swapped()
-        return lhs.coefficients == rhs.coefficients, {}
+    # family members indexed one slot off for negative n break the identity
+    real = cubicthue.family.form_at
 
-    monkeypatch.setattr(cubicthue.cli, "swap_identity_check", off_by_one)
+    def shifted(fam, n):
+        return real(fam, n - 1 if n < 0 else n)
+
+    monkeypatch.setattr(cubicthue.family, "form_at", shifted)
     code, out, err = run_cli(capsys, "verify", "--D", "1")
     assert code == 5
     assert ("[D=1] FAIL swap_identity: F_(-n)(X,Y) = -F_(n-2)(Y,X) on "

@@ -123,20 +123,19 @@ def test_naive_oracle_equals_per_cell_reference(fam, spec):
 
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_naive_oracle_equals_per_cell_reference_with_degenerate_index(D):
-    # n = -1 is the degenerate index F_-1 = (X - Y)^3 of the example family
+    # n = -1 is the degenerate index F_-1 = (X - Y)^3 of the example family;
+    # the one-index boxes with k = 1, y_max = 1 have x_cap as small as 2, so
+    # a row has 5 cells and the start values at x = -x_cap span most of it
     fam = example_family(D)
-    spec = SearchSpec(k=10, n_lo=-2, n_hi=1, y_max=3, exclude_degenerate=False)
-    for exclude_trivial in (True, False):
-        reference = _naive_equals_reference(
-            fam, replace(spec, exclude_trivial=exclude_trivial))
-        assert any(r.degenerate for r in reference)
-
-
-def test_derandomized_profile_keeps_the_example_counts():
-    # HYPOTHESIS_PROFILE=derandomized (see conftest) fixes the examples only
-    profile = settings.get_profile("derandomized")
-    assert profile.derandomize and profile.database is None
-    assert profile.max_examples == settings.get_profile("default").max_examples
+    specs = [SearchSpec(k=10, n_lo=-2, n_hi=1, y_max=3)]
+    specs += [SearchSpec(k=1, n_lo=n, n_hi=n, y_max=1) for n in range(-3, 2)]
+    for spec in specs:
+        for exclude_trivial in (True, False):
+            reference = _naive_equals_reference(
+                fam, replace(spec, exclude_degenerate=False,
+                             exclude_trivial=exclude_trivial))
+            if spec.n_lo <= -1 <= spec.n_hi:
+                assert any(r.degenerate for r in reference)
 
 
 def test_naive_oracle_equals_per_cell_reference_on_long_rows():
@@ -147,18 +146,6 @@ def test_naive_oracle_equals_per_cell_reference_on_long_rows():
     spec = SearchSpec(k=500, n_lo=3, n_hi=3, y_max=12)
     reference = _naive_equals_reference(fam, spec)
     assert len(reference) == 8
-
-
-@pytest.mark.parametrize("D", [1, 2, 3])
-@pytest.mark.parametrize("n", [-3, -2, -1, 0, 1])
-def test_naive_oracle_equals_per_cell_reference_on_tiny_boxes(D, n):
-    # k = 1, y_max = 1: x_cap is as small as 2, so a row has 5 cells and
-    # the start values F, d1, d2 at x = -x_cap span most of it
-    fam = example_family(D)
-    spec = SearchSpec(k=1, n_lo=n, n_hi=n, y_max=1, exclude_degenerate=False)
-    for exclude_trivial in (True, False):
-        _naive_equals_reference(fam, replace(spec,
-                                             exclude_trivial=exclude_trivial))
 
 
 @settings(deadline=None, max_examples=25)
