@@ -25,6 +25,10 @@ class ZeroElement(CubicThueError):
     """Operation undefined for the zero element."""
 
 
+class NotASolution(CubicThueError):
+    """(x, y) is outside the range 0 < |F_n(x, y)| <= k of a certificate."""
+
+
 class ZeroValue(CubicThueError):
     """Form value is zero, outside the range 0 < |F| <= k."""
 

@@ -194,17 +194,20 @@ def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
 
 def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
                        precision=DEFAULT_PRECISION, *,
-                       beta: FieldElement | None = None) -> Decomposition:
+                       beta: FieldElement | None = None,
+                       value: int | None = None) -> Decomposition:
     """Decomposition of gamma = x - epsilon^n * alpha * y for a solution.
 
-    `beta` is epsilon^n * alpha when the caller already holds it."""
+    `beta` is epsilon^n * alpha and `value` is F_n(x, y) when the caller
+    already holds them."""
     if x == 0 or y == 0:
         raise TrivialXY(f"(x, y) = ({x}, {y})")
     if beta is None:
         beta = fam.beta(n)
     if beta.is_rational():
         raise DegenerateN(f"epsilon^{n} * alpha is rational")
-    value = norm_form(beta).evaluate(x, y)
+    if value is None:
+        value = norm_form(beta).evaluate(x, y)
     if value == 0:
         raise ZeroValue(f"F_{n}({x}, {y}) = 0")
     dec = unit_reduce(fam, (-y) * beta + x, precision)

@@ -34,11 +34,13 @@ Two independent enumeration paths cover the same box and must agree:
   points come from the exact integer quadratic F'), discards pieces whose
   endpoint values exclude the window [-k, k], and binary-searches the
   window boundaries on the remaining pieces with exact evaluations.  A
-  floating root approximation merely seeds the search; correctness rests on
+  rough root approximation merely seeds the search; correctness rests on
   the exact monotone bracketing alone.  `naive=True` forces the literal
   triple loop for small boxes: every cell of the box is evaluated exactly,
   by exact forward differences along each row (n, y), where F is a monic
-  cubic in x whose third difference is the constant 6 a0.
+  cubic in x whose third difference is the constant 6 a0; all rows of the
+  box step together as fixed-width lanes of a few integers (SIMD within a
+  register: Lamport, CACM 18(8), 1975).
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from .cubicfield import DEFAULT_PRECISION, FieldElement
 from .errors import PrecisionExhausted
@@ -329,7 +329,7 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
             shift, p_lo, p_hi, r_lo, r_hi, num2, s2, y_scan = _stripe_data(
                 beta, spec)
         except PrecisionExhausted:
-            _oracle_index(found, fam, spec, cap, n, form)
+            _oracle_index(found, spec, cap, n, beta, form)
             continue
         one = 1 << shift
         evaluate = form.evaluate
@@ -375,15 +375,6 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
 
 
 # -- oracle -----------------------------------------------------------------------
-
-
-def _real_root_float(form: BinaryCubicForm) -> float:
-    """Float seed for the real root of F(t, 1); accuracy is not load-bearing."""
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots([form.a0, form.a1, form.a2, form.a3],
-                                 maxsteps=200, extraprec=120)
-        real = [r for r in roots if abs(mpmath.im(r)) < 1e-30]
-        return float(mpmath.re(real[0])) if real else 0.0
 
 
 def _window_on_monotone(evaluate, y: int, lo: int, hi: int, k: int,
@@ -433,8 +424,8 @@ def _window_on_monotone(evaluate, y: int, lo: int, hi: int, k: int,
     return (left, right)
 
 
-def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
-                  n: int, form: BinaryCubicForm) -> None:
+def _oracle_index(found: dict, spec: SearchSpec, cap: int, n: int,
+                  beta: FieldElement, form: BinaryCubicForm) -> None:
     """Monotone-piece exhaustive search for one index; no enclosures used.
 
     The derivative 3 a0 x^2 + 2 a1 x y + a2 y^2 is an upward parabola, so
@@ -442,11 +433,12 @@ def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
     critical points.  Integer bounds for the pieces come from the exact
     integer square root; the few integers between the outer and inner
     bounds around each critical point are evaluated directly.  Each row's
-    galloping starts at round(root * y), with root the float real root: a
-    float product per row, and a seed that only steers the search."""
+    galloping starts at floor(root * y), with root the midpoint of beta_n's
+    real image at 2^-48 (the real root of F_n(t, 1), embedded as in `_cap`):
+    an exact integer seed per row, which only steers the search."""
     a0, a1, a2, _ = form.coefficients
     assert a0 > 0, "family forms are monic"
-    root = _real_root_float(form)
+    root = beta.real_embedding(Fraction(1, 1 << 48)).mid
     disc = a1 * a1 - 3 * a0 * a2  # critical points exist iff positive
     evaluate = form.evaluate
     for y in range(-spec.y_max, spec.y_max + 1):
@@ -469,7 +461,7 @@ def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
                                 min(outer_right, cap + 1)))
         else:
             pieces.append((-cap, cap, True))
-        seed = round(root * y)
+        seed = root.numerator * y // root.denominator
         for lo, hi, increasing in pieces:
             window = _window_on_monotone(evaluate, y, lo, hi, spec.k,
                                          increasing,
@@ -483,35 +475,88 @@ def _oracle_index(found: dict, fam: FormFamily, spec: SearchSpec, cap: int,
     _trivial_axis_solutions(found, spec, cap, n, form, False)
 
 
-def _naive_index(found: dict, spec: SearchSpec, cap: int, n: int,
-                 form: BinaryCubicForm) -> None:
-    """Literal scan of every cell (x, y), |x| <= cap, 0 < |y| <= y_max.
+def _lane_bound(forms: list[tuple[int, BinaryCubicForm]], cap: int,
+                y_max: int) -> int:
+    """M >= |F_n(x, y)| on every cell |x| <= cap, |y| <= y_max of `forms`.
 
-    Along a row y, F(x, y) = a0 x^3 + a1 y x^2 + a2 y^2 x + a3 y^3 is a cubic
-    in x with constant third forward difference 6 a0.  Each row computes F
-    and its first two differences at x = -cap from the hoisted y-powers,
-    then steps to x + 1 by three exact integer additions, so every cell's
-    value is exact; only a nonzero value in [-k, k] reaches `_collect`."""
-    a0, a1, a2, a3 = form.coefficients
-    k, neg_k = spec.k, -spec.k
+    The triangle inequality applied to F's four terms."""
+    return max(abs(a0) * cap**3 + abs(a1) * cap**2 * y_max
+               + abs(a2) * cap * y_max**2 + abs(a3) * y_max**3
+               for a0, a1, a2, a3 in (form.coefficients for _, form in forms))
+
+
+def _pack(lanes: list[int], width: int) -> int:
+    """sum_i lanes[i] * 2^(width i), exactly, for signed lanes too."""
+    packed = 0
+    for value in reversed(lanes):
+        packed = (packed << width) + value
+    return packed
+
+
+def _naive_scan(found: dict, spec: SearchSpec, cap: int,
+                forms: list[tuple[int, BinaryCubicForm]]) -> None:
+    """Literal scan of every cell (n, x, y), |x| <= cap, 0 < |y| <= y_max.
+
+    Along a row (n, y), F(x, y) = a0 x^3 + a1 y x^2 + a2 y^2 x + a3 y^3 is a
+    cubic in x with constant third forward difference 6 a0: from F and its
+    first two differences at x = -cap, three exact additions step the row to
+    x + 1.  All rows share the x range, so all of them step together.  Row
+    i is lane i, the `width` bits at 2^(width i), of the integers
+
+        V = sum_i (F_i(x) + B) 2^(width i),  D1 = sum_i d1_i(x) 2^(width i),
+
+    D2 likewise from the second differences and D3 from 6 a0.  D1 and D2
+    are exact signed sums, and `V += D1; D1 += D2; D2 += D3` is the row step
+    of every lane at once, as an identity of integers.
+
+    No lane carries into or borrows from its neighbour.  M = `_lane_bound`
+    bounds |F| on every cell, and B = 2^bitlen(M + k) > M + k, so every lane
+    value F + B lies in (0, 2B): the base-2^width digits of V are the lane
+    values, and bit 2B of a lane, its guard bit, is never set (width =
+    bitlen(B) + 1 holds it).  With H the packed guard bits 2B, C_lo the
+    packed B - k > 0 and C_hi the packed 3B + k, the lanes of (V | H) - C_lo
+    are F + 2B + k and those of C_hi - V are 2B + k - F, all in
+    (B + k, 3B + k), inside [0, 2^width): neither difference borrows across
+    lanes.  The first has the guard bit iff F >= -k, the second iff F <= k,
+    so the guard bits of ((V | H) - C_lo) & (C_hi - V) & H are exactly the
+    lanes with |F| <= k.  Only those lanes are unpacked, and their exact
+    values reach `_collect`, which keeps the nonzero ones."""
+    k = spec.k
     x0 = -cap
-    xs = range(x0, cap + 1)
-    d3 = 6 * a0
-    for y in range(-spec.y_max, spec.y_max + 1):
-        if y == 0:
-            continue
-        b1, b2, b3 = a1 * y, a2 * y * y, a3 * y**3
-        # F(x0), F(x0 + 1) - F(x0) and the second difference at x0
-        v = ((a0 * x0 + b1) * x0 + b2) * x0 + b3
-        d1 = a0 * (3 * x0 * (x0 + 1) + 1) + b1 * (2 * x0 + 1) + b2
-        d2 = d3 * (x0 + 1) + 2 * b1
-        for x in xs:
-            if neg_k <= v <= k and v:
-                _collect(found, spec, cap, n, x, y, v, False)
-            v += d1
-            d1 += d2
-            d2 += d3
-    _trivial_axis_solutions(found, spec, cap, n, form, False)
+    b = 1 << (_lane_bound(forms, cap, spec.y_max) + k).bit_length()
+    width = b.bit_length() + 1
+    rows, v, d1, d2, d3 = [], [], [], [], []
+    for n, form in forms:
+        a0, a1, a2, a3 = form.coefficients
+        for y in range(-spec.y_max, spec.y_max + 1):
+            if y == 0:
+                continue
+            b1, b2, b3 = a1 * y, a2 * y * y, a3 * y**3
+            rows.append((n, y))
+            # F(x0), F(x0 + 1) - F(x0) and the second difference at x0
+            v.append(((a0 * x0 + b1) * x0 + b2) * x0 + b3 + b)
+            d1.append(a0 * (3 * x0 * (x0 + 1) + 1) + b1 * (2 * x0 + 1) + b2)
+            d2.append(6 * a0 * (x0 + 1) + 2 * b1)
+            d3.append(6 * a0)
+    v, d1, d2, d3 = (_pack(lanes, width) for lanes in (v, d1, d2, d3))
+    guards = _pack([2 * b] * len(rows), width)
+    c_lo = _pack([b - k] * len(rows), width)
+    c_hi = _pack([3 * b + k] * len(rows), width)
+    low_bits = 2 * b - 1
+    for x in range(x0, cap + 1):
+        hits = ((v | guards) - c_lo) & (c_hi - v) & guards
+        while hits:
+            top = hits.bit_length() - 1
+            hits ^= 1 << top
+            i = top // width
+            n, y = rows[i]
+            _collect(found, spec, cap, n, x, y,
+                     ((v >> (width * i)) & low_bits) - b, False)
+        v += d1
+        d1 += d2
+        d2 += d3
+    for n, form in forms:
+        _trivial_axis_solutions(found, spec, cap, n, form, False)
 
 
 def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
@@ -522,14 +567,16 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     The default path is exhaustive-equivalent: on each monotone piece of the
     integer cubic it brackets the window |F| <= k by exact binary search, so
     its output equals a literal scan of every x in the box.  `naive=True`
-    performs that literal scan (use only on small boxes): one row of exact
-    forward differences per (n, y), every cell visited, with no pruning,
-    window or symmetry."""
+    performs that literal scan (use only on small boxes): one `_naive_scan`
+    of the whole box, every cell (n, x, y) of every non-degenerate index
+    stepped by exact forward differences, all rows together in packed
+    lanes, with no pruning, window or symmetry."""
     found: dict = {}
     if spec.k == 0:
         return []
     betas = {n: fam.beta(n) for n in spec.indices()}
     cap = _cap(betas.values(), spec)
+    forms = []
     for n, beta in betas.items():
         form = norm_form(beta)
         if beta.is_rational():
@@ -538,7 +585,9 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
                 _trivial_axis_solutions(found, spec, cap, n, form, True)
             continue
         if naive:
-            _naive_index(found, spec, cap, n, form)
+            forms.append((n, form))
         else:
-            _oracle_index(found, fam, spec, cap, n, form)
+            _oracle_index(found, spec, cap, n, beta, form)
+    if forms:
+        _naive_scan(found, spec, cap, forms)
     return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, betas)

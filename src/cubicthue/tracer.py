@@ -35,6 +35,7 @@ from .cubicfield import (
 from .errors import (
     AmbiguousOrdering,
     InvalidParameter,
+    NotASolution,
     NotThirdCase,
     PrecisionExhausted,
 )
@@ -625,15 +626,18 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
                       precision=DEFAULT_PRECISION) -> dict:
     """Full JSON-serializable audit of one solution.
 
-    `precision_bits` is the working precision the Siegel step certified at;
-    every enclosure is a function of it and of the solution alone."""
+    Raises `NotASolution` unless 0 < |F_n(x, y)| <= k.  `precision_bits`
+    is the working precision the Siegel step certified at; every enclosure
+    is a function of it and of the solution alone."""
     beta = fam.beta(n)
-    dec = decompose_solution(fam, n, x, y, precision, beta=beta)
+    value = norm_form(beta).evaluate(x, y)
+    if value == 0 or abs(value) > k:
+        raise NotASolution(f"|F_{n}({x}, {y})| = {abs(value)} not in (0, {k}]")
+    dec = decompose_solution(fam, n, x, y, precision, beta=beta, value=value)
     images = SolutionImages(fam, n, dec, beta)
     trace = siegel_terms(images, precision)
     rows = inequality_ledger(images, x, y, k, trace, precision)
     _, kappa9 = images.house(k, bits_for_width(Fraction(precision)))
-    value = norm_form(beta).evaluate(x, y)
     cert = {
         "schema": 2,
         "type": "trace",

@@ -1,11 +1,12 @@
 """Per-cell reference scan of a solver box, for tests only.
 
-`brute_force_oracle(..., naive=True)` steps along each row by exact forward
-differences started from hoisted y-powers and hands only values in [-k, k]
-to the collection rules.  This reference makes one `form.evaluate(x, y)`
-call per cell of the whole box, the axes and degenerate indices included,
-and applies the rules of a solution itself, so the two agree only if the
-fast scan skips no cell and steps to no wrong value.
+`brute_force_oracle(..., naive=True)` steps every row of the box at once
+by exact forward differences packed into fixed-width lanes of a few
+integers, and unpacks only the lanes whose guard bit marks a value in
+[-k, k].  This reference makes one `form.evaluate(x, y)` call per cell of
+the whole box, the axes and degenerate indices included, and applies the
+rules of a solution itself, so the two agree only if the packed scan skips
+no cell, steps to no wrong value and lets no lane spill into another.
 """
 
 from __future__ import annotations

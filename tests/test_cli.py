@@ -11,6 +11,8 @@ import pytest
 
 import cubicthue.cli
 import cubicthue.family
+import cubicthue.reduction
+import cubicthue.tracer
 from cubicthue.cli import main
 from cubicthue.config import PRECISION_ENV, Config, load_config
 from cubicthue.cubicfield import DEFAULT_PRECISION
@@ -85,6 +87,24 @@ def test_solve_oracle_equivalence(capsys):
     assert pruned == oracle
 
 
+def test_solve_naive_oracle_prints_the_oracle_rows(capsys):
+    box = ("solve", "--D", "1", "--k", "5", "--n", "-3..3", "--y-max", "10")
+    code, oracle, _ = run_cli(capsys, *box, "--oracle")
+    assert code == 0
+    code, naive, _ = run_cli(capsys, *box, "--oracle", "--naive")
+    assert code == 0
+    assert naive == oracle
+    assert len(oracle.splitlines()) > 0
+
+
+def test_solve_naive_without_oracle_exit_2(capsys):
+    code, out, err = run_cli(capsys, "solve", "--D", "1", "--k", "5",
+                             "--n", "0", "--naive")
+    assert code == 2
+    assert out == ""
+    assert "--naive requires --oracle" in err
+
+
 def test_solve_json_schema_header(capsys):
     code, out, _ = run_cli(capsys, "--output", "json", "solve", "--D", "1",
                            "--k", "2", "--n", "0..0", "--y-max", "5")
@@ -99,10 +119,21 @@ def test_solve_json_schema_header(capsys):
 # -- trace -------------------------------------------------------------------
 
 
-def test_trace_valid_solution(capsys):
+def test_trace_valid_solution(capsys, monkeypatch):
+    # the form is built and evaluated once per certificate
+    calls = []
+    norm_form = cubicthue.family.norm_form
+
+    def counted(beta):
+        calls.append(beta)
+        return norm_form(beta)
+
+    for module in (cubicthue.family, cubicthue.reduction, cubicthue.tracer):
+        monkeypatch.setattr(module, "norm_form", counted)
     code, out, _ = run_cli(capsys, "trace", "--D", "1", "--n", "0",
                            "--x", "1", "--y", "-1", "--k", "2")
     assert code == 0
+    assert len(calls) == 1
     cert = json.loads(out)
     assert cert["case"].endswith("_dominant")
     assert cert["schema"] == 2

@@ -63,6 +63,16 @@ def test_oracle_matches_naive_small_boxes(fam1, fam2):
         assert fast == naive
 
 
+def test_oracle_on_a_huge_real_root(fam1):
+    # beta_300 is about 10^176: the oracle seeds its searches from the exact
+    # midpoint of beta_300's real image, with no float root finder to fail
+    for exclude_trivial in (True, False):
+        spec = SearchSpec(k=5, n_lo=300, n_hi=300, y_max=3,
+                          exclude_trivial=exclude_trivial)
+        assert record_keys(brute_force_oracle(fam1, spec)) == \
+            record_keys(solve_box(fam1, spec))
+
+
 def test_oracle_trivial_pairs_included_when_requested(fam1):
     spec = SearchSpec(k=8, n_lo=0, n_hi=0, y_max=5, exclude_trivial=False)
     keys = record_keys(brute_force_oracle(fam1, spec))

@@ -22,11 +22,20 @@ from cubicthue.family import (
     example_family,
     family_from_json,
     family_to_json,
+    form_at,
     make_family,
 )
 from cubicthue.heights import regulator
 from cubicthue.reduction import ReductionCache, unit_reduce
-from cubicthue.solver import SearchSpec, brute_force_oracle, record_keys, solve_box
+from cubicthue.solver import (
+    SearchSpec,
+    _lane_bound,
+    _naive_scan,
+    brute_force_oracle,
+    record_keys,
+    solve_box,
+    x_cap,
+)
 from cubicthue.tracer import trace_certificate
 from reference_reduction import reference_unit_reduce
 from reference_solver import per_cell_reference
@@ -146,6 +155,41 @@ def test_naive_oracle_equals_per_cell_reference_on_long_rows():
     spec = SearchSpec(k=500, n_lo=3, n_hi=3, y_max=12)
     reference = _naive_equals_reference(fam, spec)
     assert len(reference) == 8
+
+
+def test_lane_bound_covers_every_cell():
+    # on F_3 of D = 1 at y = 12 the -219 X^2 Y term is as large as X^3 at
+    # the row ends, so a bound from a0 cap^3 alone is too small
+    fam = example_family(1)
+    spec = SearchSpec(k=500, n_lo=3, n_hi=3, y_max=12)
+    cap = x_cap(fam, spec)
+    form = form_at(fam, 3)
+    largest = max(abs(form.evaluate(x, y))
+                  for y in range(-spec.y_max, spec.y_max + 1)
+                  for x in range(-cap, cap + 1))
+    assert largest > cap**3
+    assert _lane_bound([(3, form)], cap, spec.y_max) >= largest
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, -2])
+def test_packed_scan_when_k_exceeds_every_value(D):
+    # a pinned x range far below k^(1/3) makes every nonzero cell a hit, and
+    # the lane size must hold k as well as the values (x_cap itself always
+    # exceeds k^(1/3))
+    fam = example_family(D)
+    spec = SearchSpec(k=10**15, n_lo=-2, n_hi=2, y_max=2)
+    cap = 12
+    forms = [(n, form_at(fam, n)) for n in spec.indices()
+             if not fam.is_degenerate_index(n)]
+    expected = {(n, x, y): (form.evaluate(x, y), False)
+                for n, form in forms
+                for y in range(-spec.y_max, spec.y_max + 1)
+                for x in range(-cap, cap + 1)
+                if x * y != 0}
+    assert max(abs(v) for v, _ in expected.values()) <= spec.k
+    found = {}
+    _naive_scan(found, spec, cap, forms)
+    assert found == expected
 
 
 @settings(deadline=None, max_examples=25)
