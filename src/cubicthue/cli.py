@@ -6,6 +6,8 @@ Subcommands:
   trace    emit the JSON audit certificate for one solution
   verify   run the cross-module identity suite (exit 5 on first failure)
 
+`--output json` (before the subcommand) prints JSON lines, not a table.
+
 Exit codes: 0 success, 2 usage or invalid parameters, 3 precision
 exhausted, 4 the trace input is not a solution, 5 verification failure.
 """
@@ -22,7 +24,6 @@ from fractions import Fraction
 
 from . import errors
 from .bounds import calibrate_c2
-from .config import Config, load_config
 from .family import (
     FormFamily,
     coefficient_sequence,
@@ -79,15 +80,15 @@ def _load_family(args) -> FormFamily:
     return example_family(args.D)
 
 
-def cmd_family(args, cfg: Config) -> int:
+def cmd_family(args) -> int:
     fam = _load_family(args)
     n_lo, n_hi = _parse_n_range(args.n)
     single = n_lo == n_hi
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps({"schema": 1}))
     for n in range(n_lo, n_hi + 1):
         form = form_at(fam, n)
-        if cfg.output == "json":
+        if args.output == "json":
             print(json.dumps({"n": n, "coefficients": list(form.coefficients),
                               "degenerate": fam.is_degenerate_index(n)}))
         elif single:
@@ -97,7 +98,7 @@ def cmd_family(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args, cfg: Config) -> int:
+def cmd_solve(args) -> int:
     if args.naive and not args.oracle:
         raise errors.InvalidParameter("--naive requires --oracle")
     fam = _load_family(args)
@@ -108,8 +109,8 @@ def cmd_solve(args, cfg: Config) -> int:
     if args.oracle:
         records = brute_force_oracle(fam, spec, naive=args.naive)
     else:
-        records = solve_box(fam, spec, cfg.precision)
-    if cfg.output == "json":
+        records = solve_box(fam, spec)
+    if args.output == "json":
         print(json.dumps({"schema": 1, "k": spec.k, "n_lo": n_lo,
                           "n_hi": n_hi, "y_max": spec.y_max}))
         for r in records:
@@ -121,15 +122,14 @@ def cmd_solve(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_trace(args, cfg: Config) -> int:
+def cmd_trace(args) -> int:
     fam = _load_family(args)
-    cert = trace_certificate(fam, args.n, args.x, args.y, args.k,
-                             cfg.precision)
+    cert = trace_certificate(fam, args.n, args.x, args.y, args.k)
     print(certificate_json(cert))
     return EXIT_OK
 
 
-def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
+def _verify_checks(fam: FormFamily, deep: bool):
     """Yield (name, passed, detail) for the cross-module identity suite.
 
     `passed` is None for an informational line, which cannot fail."""
@@ -183,8 +183,7 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
 
     y_max = 1000 if deep else 30
     spec = SearchSpec(k=5, n_lo=-3, n_hi=3, y_max=y_max)
-    pruned = record_keys(solve_box(fam, spec, precision,
-                                   with_decomposition=False))
+    pruned = record_keys(solve_box(fam, spec, with_decomposition=False))
     oracle = record_keys(brute_force_oracle(fam, spec,
                                             with_decomposition=False))
     yield "solver_equivalence", pruned == oracle, (
@@ -206,7 +205,7 @@ def _verify_checks(fam: FormFamily, deep: bool, precision: Fraction):
            f"certificate: {fund.status}")
 
     if deep:
-        delta, theta = family_angles(fam, Fraction(1, 10**30))
+        delta, theta = family_angles(fam)
         cal = calibrate_c2(delta, theta, 10**4, prec)
         # the exponent needed at worst_n again, from a direct sine of
         # delta + n theta: c2 must cover it and exceed it only by its margin
@@ -232,7 +231,7 @@ def _naive_sub_box(fam: FormFamily, spec: SearchSpec) -> tuple[SearchSpec, int]:
             return sub, cells
 
 
-def cmd_verify(args, cfg: Config) -> int:
+def cmd_verify(args) -> int:
     families = []
     if args.family_file:
         with open(args.family_file, "r", encoding="utf-8") as handle:
@@ -244,8 +243,7 @@ def cmd_verify(args, cfg: Config) -> int:
         families = [(f"D={d}", example_family(d)) for d in (1, 2, 3)]
     failed = None
     for label, fam in families:
-        for name, passed, detail in _verify_checks(fam, args.deep,
-                                                   cfg.precision):
+        for name, passed, detail in _verify_checks(fam, args.deep):
             status = "info" if passed is None else "ok" if passed else "FAIL"
             print(f"[{label}] {status:4s} {name}: {detail}")
             if passed is False and failed is None:
@@ -261,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubicthue",
         description="Unit-indexed families of cubic Thue inequalities: "
                     "exact solving and proof auditing.")
-    parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--output", choices=("table", "json"),
-                        help="override the configured output mode")
+                        default="table", help="output mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family_args(p):
@@ -326,10 +323,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_range_values(
         list(sys.argv[1:] if argv is None else argv)))
     try:
-        cfg = load_config(args.config, output_override=args.output)
         handler = {"family": cmd_family, "solve": cmd_solve,
                    "trace": cmd_trace, "verify": cmd_verify}[args.command]
-        return handler(args, cfg)
+        return handler(args)
     except _SOLUTION_INPUT_ERRORS as exc:
         print(f"not a valid solution input: {exc}", file=sys.stderr)
         return EXIT_NOT_A_SOLUTION

@@ -41,7 +41,10 @@ from .errors import (
 )
 from .intervals import CBox, RI, bits_for_width, refine, ri_sqrt
 
+# The width target that every command certifies at, and the working
+# precision that its refinement loops start from.
 DEFAULT_PRECISION = Fraction(1, 10**30)
+DEFAULT_BITS = bits_for_width(DEFAULT_PRECISION)
 
 
 def cubic_discriminant(a0: int, a1: int, a2: int, a3: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cubicfield import DEFAULT_PRECISION, FieldElement
+from .cubicfield import DEFAULT_BITS, DEFAULT_PRECISION, FieldElement
 from .errors import NotAUnit, ZeroElement
 from .family import FormFamily
 from .intervals import CBox, RI, bits_for_width, refine, ri_log, ri_root, ri_sqrt
@@ -120,8 +120,7 @@ class FundamentalityResult:
         return self.status == "proved_fundamental"
 
 
-def check_fundamental(fam: FormFamily,
-                      precision=DEFAULT_PRECISION) -> FundamentalityResult:
+def check_fundamental(fam: FormFamily) -> FundamentalityResult:
     """Sufficient fundamentality certificate for the unit epsilon > 1.
 
     In a cubic field with one real embedding, the fundamental unit e0 > 1
@@ -134,9 +133,8 @@ def check_fundamental(fam: FormFamily,
     eps = fam.epsilon
     if abs(eps.norm()) != 1 or not eps.is_integral():
         raise NotAUnit(f"norm {eps.norm()}")
-    bits = bits_for_width(Fraction(precision))
-    real = eps.real_embedding(Fraction(1, 1 << bits))
-    threshold = 4 * real * ri_sqrt(real, bits) + 24
+    real = eps.real_embedding(Fraction(1, 1 << DEFAULT_BITS))
+    threshold = 4 * real * ri_sqrt(real, DEFAULT_BITS) + 24
     disc_abs = abs(fam.field.disc)
     margin = RI.point(disc_abs) - threshold
     status = "proved_fundamental" if margin.lo >= 0 else "unknown"

@@ -226,10 +226,6 @@ class RI:
         return RI(v, v, bits)
 
     @staticmethod
-    def of(lo: Rat, hi: Rat, bits: int | None = None) -> "RI":
-        return RI(lo, hi, bits)
-
-    @staticmethod
     def dyadic(a: int, b: int, e: int) -> "RI":
         """The exact interval [a, b] * 2^e."""
         if a > b:

@@ -34,10 +34,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubicfield import DEFAULT_PRECISION, FieldElement
+from .cubicfield import DEFAULT_BITS, DEFAULT_PRECISION, FieldElement
 from .errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
 from .family import FormFamily, norm_form
-from .intervals import RI, bits_for_width, refine, ri_log
+from .intervals import RI, refine, ri_log
 
 BALANCE_TOL = Fraction(1, 10**9)
 
@@ -120,8 +120,7 @@ class ReductionCache:
         return pair
 
 
-def unit_reduce(fam: FormFamily, gamma: FieldElement,
-                precision=DEFAULT_PRECISION, *,
+def unit_reduce(fam: FormFamily, gamma: FieldElement, *,
                 cache: ReductionCache | None = None) -> Decomposition:
     """Decompose gamma exactly as epsilon^ell * xi with balanced xi.
 
@@ -129,8 +128,8 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement,
     point; it is guessed in floats and certified from the balance enclosure
     (module docstring).  The balance is max over the three embeddings of
     |log(|embedding of xi| / m^(1/3))|, at the first precision from
-    `bits_for_width(precision)` upwards, doubling, where its width is at
-    most `precision`.  `cache` carries R, (1/3) log m and the powers of
+    `DEFAULT_BITS` upwards, doubling, where its width is at most
+    `DEFAULT_PRECISION`.  `cache` carries R, (1/3) log m and the powers of
     epsilon between the reductions of one solving call; without it the
     call makes its own."""
     if gamma.is_zero():
@@ -138,13 +137,12 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement,
     if cache is None:
         cache = ReductionCache(fam)
     m = abs(gamma.norm())
-    target = Fraction(precision)
     ell = cache.guess(gamma, m)
     while True:
         u, u_inv = cache.powers(ell)
         xi = u_inv * gamma
-        move, balance = refine(_certify_step(cache, gamma, ell, xi, m, target),
-                               bits_for_width(target),
+        move, balance = refine(_certify_step(cache, gamma, ell, xi, m),
+                               DEFAULT_BITS,
                                "unit reduction did not certify")
         if not move:
             break
@@ -154,11 +152,11 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement,
 
 
 def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
-                  xi: FieldElement, m: Fraction, target: Fraction):
+                  xi: FieldElement, m: Fraction):
     """A `refine` step giving (0, balance) when ell is the balancing
     exponent, (move, None) when it is certified off by about `move`, and
     None when precision must grow.  The balance is the first one, in
-    doubling order, whose width meets the target."""
+    doubling order, whose width meets `DEFAULT_PRECISION`."""
     first = None
 
     def step(bits: int) -> tuple[int, RI | None] | None:
@@ -171,7 +169,7 @@ def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
         dev = ri_log(abs(real), bits) - log_m3
         if first is None:
             balance = abs(dev).max_with(abs(ri_log(cabs2, bits) / 2 - log_m3))
-            if balance.width <= target:
+            if balance.width <= DEFAULT_PRECISION:
                 first = balance
         reg = cache.reg(bits)
         half = reg / 2
@@ -192,8 +190,7 @@ def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
     return step
 
 
-def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
-                       precision=DEFAULT_PRECISION, *,
+def decompose_solution(fam: FormFamily, n: int, x: int, y: int, *,
                        beta: FieldElement | None = None,
                        value: int | None = None) -> Decomposition:
     """Decomposition of gamma = x - epsilon^n * alpha * y for a solution.
@@ -210,6 +207,6 @@ def decompose_solution(fam: FormFamily, n: int, x: int, y: int,
         value = norm_form(beta).evaluate(x, y)
     if value == 0:
         raise ZeroValue(f"F_{n}({x}, {y}) = 0")
-    dec = unit_reduce(fam, (-y) * beta + x, precision)
+    dec = unit_reduce(fam, (-y) * beta + x)
     assert dec.norm_abs == abs(value), "norm and form value disagree"
     return dec

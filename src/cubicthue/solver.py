@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cubicfield import DEFAULT_PRECISION, FieldElement
+from .cubicfield import FieldElement
 from .errors import PrecisionExhausted
 from .family import BinaryCubicForm, FormFamily, norm_form
 from .intervals import CBox, RI, refine
@@ -123,27 +123,53 @@ def _iroot(n: int, e: int) -> int:
 
 def x_cap(fam: FormFamily, spec: SearchSpec) -> int:
     """|x| bound closing the box; see `_cap`."""
-    return _cap([fam.beta(n) for n in spec.indices()], spec)
+    return _cap({n: fam.beta(n) for n in spec.indices()}, spec)[0]
 
 
-def _cap(betas, spec: SearchSpec) -> int:
-    """floor(y_max * max |root| + k^(1/3)) from certified upper bounds.
+def _cap(betas: dict, spec: SearchSpec) -> tuple[int, dict]:
+    """floor(y_max * max |root| + k^(1/3)) from certified upper bounds, and
+    the midpoint of each beta_n's real image that gave them.
 
     F_n(x, y) = prod_i (x - b_i y) gives min_i |x - b_i y| <= k^(1/3), so
     every solution with |y| <= y_max has |x| <= y_max * |b_i| + k^(1/3) for
     some root b_i: the real root or the complex pair, whichever is larger."""
     top2 = Fraction(0)
-    for beta in betas:
+    roots = {}
+    for n, beta in betas.items():
         real, cplx = beta.embed(Fraction(1, 1 << 48))
         top2 = max(top2, abs(real).hi ** 2, cplx.abs2().hi)
+        roots[n] = real.mid
     # numerators over 2^32 of upper bounds on y_max * sqrt(top2) and k^(1/3)
-    roots = math.isqrt(math.ceil(top2 * (spec.y_max << 32) ** 2)) + 1
+    top = math.isqrt(math.ceil(top2 * (spec.y_max << 32) ** 2)) + 1
     cbrt_k = _iroot(spec.k << 96, 3) + 1
-    return (roots + cbrt_k) >> 32
+    return (top + cbrt_k) >> 32, roots
+
+
+def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, dict, int, list]:
+    """The setup both enumerations share: (found, betas, cap, rows).
+
+    `betas` maps every index of the box to beta_n.  The degenerate indices
+    are enumerated exactly into `found` when kept, and `rows` lists
+    (n, beta_n, F_n, root) for the others, with root the midpoint of beta_n's
+    real image from `_cap`.  With k = 0 no value qualifies: the box is empty."""
+    found: dict = {}
+    if spec.k == 0:
+        return found, {}, 0, []
+    betas = {n: fam.beta(n) for n in spec.indices()}
+    cap, roots = _cap(betas, spec)
+    rows = []
+    for n, beta in betas.items():
+        form = norm_form(beta)
+        if not beta.is_rational():
+            rows.append((n, beta, form, roots[n]))
+        elif not spec.exclude_degenerate:
+            _degenerate_lines(found, spec, cap, n, beta, form)
+            _trivial_axis_solutions(found, spec, cap, n, form, True)
+    return found, betas, cap, rows
 
 
 def _finish(fam: FormFamily, found: dict, with_decomposition: bool,
-            precision, betas: dict) -> list[SolutionRecord]:
+            betas: dict) -> list[SolutionRecord]:
     """Sorted records; decomposes gamma = x - beta_n y for each solution.
 
     `betas` maps every index of the box to its beta_n.  The reductions
@@ -153,8 +179,7 @@ def _finish(fam: FormFamily, found: dict, with_decomposition: bool,
     for (n, x, y), (value, degenerate) in found.items():
         dec = None
         if with_decomposition and not degenerate and x != 0 and y != 0:
-            dec = unit_reduce(fam, (-y) * betas[n] + x, precision,
-                              cache=cache)
+            dec = unit_reduce(fam, (-y) * betas[n] + x, cache=cache)
             assert dec.norm_abs == abs(value), "norm and form value disagree"
         records.append(SolutionRecord(
             n, x, y, value, math.gcd(abs(x), abs(y)) == 1, degenerate, dec))
@@ -299,7 +324,6 @@ def _convergents(form: BinaryCubicForm, q_max: int):
 
 
 def solve_box(fam: FormFamily, spec: SearchSpec,
-              precision=DEFAULT_PRECISION,
               with_decomposition: bool = True) -> list[SolutionRecord]:
     """Pruned exhaustive enumeration; equals the oracle on the same box.
 
@@ -310,26 +334,15 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
     * the points +-m (p, q) with p/q a convergent of the real root, m^3 <= k
       and y_scan < m q <= y_max.
 
-    Every candidate is confirmed by exact integer evaluation.  `precision`
-    is the width target of the balance enclosures of the decompositions."""
-    found: dict = {}
-    if spec.k == 0:
-        return []
-    betas = {n: fam.beta(n) for n in spec.indices()}
-    cap = _cap(betas.values(), spec)
+    Every candidate is confirmed by exact integer evaluation."""
+    found, betas, cap, rows = _box(fam, spec)
     zk = math.isqrt(spec.k) + 1
-    for n, beta in betas.items():
-        form = norm_form(beta)
-        if beta.is_rational():
-            if not spec.exclude_degenerate:
-                _degenerate_lines(found, spec, cap, n, beta, form)
-                _trivial_axis_solutions(found, spec, cap, n, form, True)
-            continue
+    for n, beta, form, root in rows:
         try:
             shift, p_lo, p_hi, r_lo, r_hi, num2, s2, y_scan = _stripe_data(
                 beta, spec)
         except PrecisionExhausted:
-            _oracle_index(found, spec, cap, n, beta, form)
+            _oracle_index(found, spec, cap, n, root, form)
             continue
         one = 1 << shift
         evaluate = form.evaluate
@@ -371,7 +384,7 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
                                      evaluate(s * p, s * q), False)
                     m += 1
         _trivial_axis_solutions(found, spec, cap, n, form, False)
-    return _finish(fam, found, with_decomposition, precision, betas)
+    return _finish(fam, found, with_decomposition, betas)
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -425,7 +438,7 @@ def _window_on_monotone(evaluate, y: int, lo: int, hi: int, k: int,
 
 
 def _oracle_index(found: dict, spec: SearchSpec, cap: int, n: int,
-                  beta: FieldElement, form: BinaryCubicForm) -> None:
+                  root: Fraction, form: BinaryCubicForm) -> None:
     """Monotone-piece exhaustive search for one index; no enclosures used.
 
     The derivative 3 a0 x^2 + 2 a1 x y + a2 y^2 is an upward parabola, so
@@ -434,11 +447,10 @@ def _oracle_index(found: dict, spec: SearchSpec, cap: int, n: int,
     integer square root; the few integers between the outer and inner
     bounds around each critical point are evaluated directly.  Each row's
     galloping starts at floor(root * y), with root the midpoint of beta_n's
-    real image at 2^-48 (the real root of F_n(t, 1), embedded as in `_cap`):
-    an exact integer seed per row, which only steers the search."""
+    real image from `_cap` (the real root of F_n(t, 1) within 2^-48): an
+    exact integer seed per row, which only steers the search."""
     a0, a1, a2, _ = form.coefficients
     assert a0 > 0, "family forms are monic"
-    root = beta.real_embedding(Fraction(1, 1 << 48)).mid
     disc = a1 * a1 - 3 * a0 * a2  # critical points exist iff positive
     evaluate = form.evaluate
     for y in range(-spec.y_max, spec.y_max + 1):
@@ -571,23 +583,10 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     of the whole box, every cell (n, x, y) of every non-degenerate index
     stepped by exact forward differences, all rows together in packed
     lanes, with no pruning, window or symmetry."""
-    found: dict = {}
-    if spec.k == 0:
-        return []
-    betas = {n: fam.beta(n) for n in spec.indices()}
-    cap = _cap(betas.values(), spec)
-    forms = []
-    for n, beta in betas.items():
-        form = norm_form(beta)
-        if beta.is_rational():
-            if not spec.exclude_degenerate:
-                _degenerate_lines(found, spec, cap, n, beta, form)
-                _trivial_axis_solutions(found, spec, cap, n, form, True)
-            continue
-        if naive:
-            forms.append((n, form))
-        else:
-            _oracle_index(found, spec, cap, n, beta, form)
-    if forms:
-        _naive_scan(found, spec, cap, forms)
-    return _finish(fam, found, with_decomposition, DEFAULT_PRECISION, betas)
+    found, betas, cap, rows = _box(fam, spec)
+    if naive and rows:
+        _naive_scan(found, spec, cap, [(n, form) for n, _, form, _ in rows])
+    elif not naive:
+        for n, _, form, root in rows:
+            _oracle_index(found, spec, cap, n, root, form)
+    return _finish(fam, found, with_decomposition, betas)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubicfield import (
+    DEFAULT_BITS,
     DEFAULT_PRECISION,
     FieldElement,
     SplitElement,
@@ -45,7 +46,6 @@ from .reduction import Decomposition, decompose_solution
 from .intervals import (
     CBox,
     RI,
-    bits_for_width,
     refine,
     ri_exp,
     ri_log,
@@ -110,10 +110,6 @@ class SiegelTrace:
 
 @dataclass(frozen=True, slots=True)
 class LambdaData:
-    rho_n: CBox
-    mu_n: CBox
-    lambda1: CBox
-    lambda2: CBox
     Lambda: CBox
     h: int
     nu: RI
@@ -195,10 +191,8 @@ def _angle_of_element_image(x: FieldElement, box: CBox, bits: int) -> RI | None:
     return _angle_mod_2pi(box, bits)
 
 
-def family_angles(fam: FormFamily,
-                  precision=DEFAULT_PRECISION) -> tuple[RI, RI]:
+def family_angles(fam: FormFamily) -> tuple[RI, RI]:
     """(delta, theta): angles of the complex images of alpha and epsilon."""
-    target = Fraction(precision)
 
     def step(bits: int) -> tuple[RI, RI] | None:
         width = Fraction(1, 1 << bits)
@@ -207,11 +201,12 @@ def family_angles(fam: FormFamily,
         delta = _angle_of_element_image(fam.alpha, abox, bits)
         theta = _angle_of_element_image(fam.epsilon, ebox, bits)
         if (delta is not None and theta is not None
-                and delta.width <= target and theta.width <= target):
+                and delta.width <= DEFAULT_PRECISION
+                and theta.width <= DEFAULT_PRECISION):
             return delta, theta
         return None
 
-    return refine(step, bits_for_width(target), "family angles did not certify")
+    return refine(step, DEFAULT_BITS, "family angles did not certify")
 
 
 # -- ordering ---------------------------------------------------------------------
@@ -295,10 +290,8 @@ def _exact_zero_terms(images: SolutionImages) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def siegel_terms(images: SolutionImages,
-                 precision=DEFAULT_PRECISION) -> SiegelTrace:
+def siegel_terms(images: SolutionImages) -> SiegelTrace:
     """Certified trace of the vanishing three-term identity for a solution."""
-    target = Fraction(precision)
     degenerate = _exact_zero_terms(images)
     ambiguous = False  # did the last try fail only on the ordering?
 
@@ -310,7 +303,7 @@ def siegel_terms(images: SolutionImages,
             return None
         terms = [CBox.point(0) if name in degenerate else t
                  for name, t in zip(("T1", "T2", "T3"), data[0])]
-        re_ok = all(t.re.contains_zero() and t.re.width <= target
+        re_ok = all(t.re.contains_zero() and t.re.width <= DEFAULT_PRECISION
                     for t in terms)
         abs_terms = tuple(t.abs(bits) for t in terms)
         ordering = order_terms(*abs_terms)
@@ -321,7 +314,7 @@ def siegel_terms(images: SolutionImages,
 
     try:
         bits, data, terms, abs_terms, ordering = refine(
-            step, bits_for_width(target), "trace could not be certified")
+            step, DEFAULT_BITS, "trace could not be certified")
     except PrecisionExhausted:
         if ambiguous:
             raise AmbiguousOrdering(
@@ -334,7 +327,8 @@ def siegel_terms(images: SolutionImages,
     checks = []
     for name, t in zip(("T1", "T2", "T3"), terms):
         checks.append(TraceCheck(
-            f"re_zero_{name}", t.re.contains_zero() and t.re.width <= target,
+            f"re_zero_{name}",
+            t.re.contains_zero() and t.re.width <= DEFAULT_PRECISION,
             RI.point(t.re.width), "real part encloses 0 within tolerance"))
     total = t1 + t2 + t3
     checks.append(TraceCheck("sum_zero", total.contains_zero(),
@@ -357,12 +351,11 @@ def siegel_terms(images: SolutionImages,
 
 
 def inequality_ledger(images: SolutionImages, x: int, y: int, k: int,
-                      trace: SiegelTrace,
-                      precision=DEFAULT_PRECISION) -> list[LedgerRow]:
+                      trace: SiegelTrace) -> list[LedgerRow]:
     """Evaluate the chain of elementary inequalities, reporting tight constants."""
     if k < 2:
         raise InvalidParameter("the estimates assume k >= 2")
-    bits = max(trace.precision_bits, bits_for_width(Fraction(precision)))
+    bits = max(trace.precision_bits, DEFAULT_BITS)
     im = images.at(bits)
     n, ell = images.n, images.dec.ell
     eps_r, half_power = im.eps_r, im.half_power
@@ -496,18 +489,16 @@ def _unique_integer(x: RI) -> int | None:
     return None
 
 
-def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
-                     k: int | None = None,
+def lambda_machinery(images: SolutionImages, k: int | None = None,
                      trace: SiegelTrace | None = None) -> LambdaData:
     """Linear form in logarithms attached to a third-case solution.
 
     With rho = xi (beta' - beta'bar) and mu = xi' (beta'bar - beta), the
     vanishing identity becomes rho eps^l + mu eps'^l - conj(mu eps'^l) = 0;
     dividing by -mu eps'^l yields e^Lambda - 1 on one side.  The integer h
-    makes Lambda - l*lambda1 - lambda2 = 2 i pi h and satisfies |h| <= |l|+2."""
+    makes Lambda - 2 i pi (l nu + theta_n) = 2 i pi h, and |h| <= |l| + 2."""
     if trace is not None and trace.case != CASE_T2T3:
         raise NotThirdCase(f"trace case is {trace.case}")
-    target = Fraction(precision)
     fam, n, dec, beta = images.fam, images.n, images.dec, images.beta
     ell = dec.ell
     alg = SplittingAlgebra(fam.field)
@@ -538,16 +529,14 @@ def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
         big_lambda = CBox(ri_log(q.abs2(), bits) / 2, lam_arg)
         h_interval = (big_lambda.im - two_pi * (ell * nu + theta_n)) / two_pi
         h = _unique_integer(h_interval)
-        ok_width = (big_lambda.width <= target and nu.width <= target
-                    and theta_n.width <= target)
+        ok_width = max(big_lambda.width, nu.width,
+                       theta_n.width) <= DEFAULT_PRECISION
         if h is None or not ok_width:
             return None
-        return bits, im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h
+        return bits, im, rho, w, q, nu, theta_n, big_lambda, h
 
-    bits, im, rho, mu, w, q, nu, theta_n, two_pi, big_lambda, h = refine(
-        step, bits_for_width(target), "period count h could not be pinned")
-    lambda1 = CBox(RI.point(0), two_pi * nu)
-    lambda2 = CBox(RI.point(0), two_pi * theta_n)
+    bits, im, rho, w, q, nu, theta_n, big_lambda, h = refine(
+        step, DEFAULT_BITS, "period count h could not be pinned")
 
     checks = []
     checks.append(TraceCheck("h_bound", abs(h) <= abs(ell) + 2,
@@ -581,9 +570,9 @@ def lambda_machinery(images: SolutionImages, precision=DEFAULT_PRECISION,
     mp = alg.min_poly(mu_split)
     lead = to_int_primitive(mp)[0]
     mu_height = height_from_conjugates(lead, alg.embeddings(mu_split, bits),
-                                       len(mp) - 1, precision)
-    return LambdaData(rho, mu, lambda1, lambda2, big_lambda, h, nu, theta_n,
-                      mu_height, tuple(checks), (row20,))
+                                       len(mp) - 1)
+    return LambdaData(big_lambda, h, nu, theta_n, mu_height, tuple(checks),
+                      (row20,))
 
 
 def _principal_arg(box: CBox, bits: int, z_sq: SplitElement | None,
@@ -622,8 +611,8 @@ def _row_json(r: LedgerRow) -> dict:
     return out
 
 
-def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
-                      precision=DEFAULT_PRECISION) -> dict:
+def trace_certificate(fam: FormFamily, n: int, x: int, y: int,
+                      k: int) -> dict:
     """Full JSON-serializable audit of one solution.
 
     Raises `NotASolution` unless 0 < |F_n(x, y)| <= k.  `precision_bits`
@@ -633,11 +622,11 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
     value = norm_form(beta).evaluate(x, y)
     if value == 0 or abs(value) > k:
         raise NotASolution(f"|F_{n}({x}, {y})| = {abs(value)} not in (0, {k}]")
-    dec = decompose_solution(fam, n, x, y, precision, beta=beta, value=value)
+    dec = decompose_solution(fam, n, x, y, beta=beta, value=value)
     images = SolutionImages(fam, n, dec, beta)
-    trace = siegel_terms(images, precision)
-    rows = inequality_ledger(images, x, y, k, trace, precision)
-    _, kappa9 = images.house(k, bits_for_width(Fraction(precision)))
+    trace = siegel_terms(images)
+    rows = inequality_ledger(images, x, y, k, trace)
+    _, kappa9 = images.house(k, DEFAULT_BITS)
     cert = {
         "schema": 2,
         "type": "trace",
@@ -666,7 +655,7 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int, k: int,
         "lambda": None,
     }
     if trace.case == CASE_T2T3:
-        lam = lambda_machinery(images, precision, k=k, trace=trace)
+        lam = lambda_machinery(images, k=k, trace=trace)
         cert["lambda"] = {
             "h": lam.h,
             "nu": ri_json(lam.nu, 30),

@@ -30,13 +30,13 @@ def isolated_root_moduli(int_coeffs: list[int], eps: Fraction,
                                         eps=sympy.Rational(eps.numerator,
                                                            eps.denominator))
         for (lo, hi), _m in reals:
-            enclosure = abs(RI.of(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
+            enclosure = abs(RI(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
             out.append((enclosure, mult))
         for (corner_lo, corner_hi), _m in cplxs:
             re_lo, im_lo = corner_lo.as_real_imag()
             re_hi, im_hi = corner_hi.as_real_imag()
-            box = CBox(RI.of(Fraction(re_lo.p, re_lo.q), Fraction(re_hi.p, re_hi.q)),
-                       RI.of(Fraction(im_lo.p, im_lo.q), Fraction(im_hi.p, im_hi.q)))
+            box = CBox(RI(Fraction(re_lo.p, re_lo.q), Fraction(re_hi.p, re_hi.q)),
+                       RI(Fraction(im_lo.p, im_lo.q), Fraction(im_hi.p, im_hi.q)))
             out.append((box.abs(bits), mult))
     return out
 

@@ -13,12 +13,11 @@ from reference_bounds import calibrate_c2_direct
 from test_solver_properties import families
 
 P25 = Fraction(1, 10**25)
-P30 = Fraction(1, 10**30)
 
 
 def test_calibrate_zero_delta1(fam1):
     # delta1 = 0, delta2 = the unit angle; scan certifies a finite exponent
-    _, theta = family_angles(fam1, P30)
+    _, theta = family_angles(fam1)
     result = calibrate_c2(RI.point(0), theta, 10**4, P25)
     assert 0 < result.c2 < 100
     assert result.checked > 0
@@ -28,7 +27,7 @@ def test_calibrate_zero_delta1(fam1):
 
 def test_calibrate_skips_exact_degenerate(fam1):
     # delta1 = delta2 makes n = -1 land exactly in Z*pi: it must be skipped
-    delta, theta = family_angles(fam1, P30)
+    delta, theta = family_angles(fam1)
     result = calibrate_c2(delta, theta, 50, P25)
     assert -1 in result.skipped
     assert all(n == -1 for n in result.skipped)
@@ -42,7 +41,7 @@ def test_calibrate_monotone_in_n():
 
 
 def test_calibration_roundtrip(fam1):
-    delta, theta = family_angles(fam1, P30)
+    delta, theta = family_angles(fam1)
     result = calibrate_c2(delta, theta, 1000, P25)
     c2 = Fraction(result.c2)
     for n in range(-1000, 1001):
@@ -56,7 +55,7 @@ def test_calibration_roundtrip(fam1):
 def test_calibration_is_tight_at_worst_index(fam1):
     # c2 is the smallest exponent that works: at worst_n, a direct 160-bit
     # enclosure of |sin| * (|n| + 2)^c2 reaches no higher than 1 + 1e-9
-    delta, theta = family_angles(fam1, P30)
+    delta, theta = family_angles(fam1)
     result = calibrate_c2(delta, theta, 1000, P25)
     n = result.worst_n
     s = abs(ri_sin(delta + n * theta, 160))
@@ -80,7 +79,7 @@ def angle_pairs(draw):
     """(delta1, delta2): points of random rationals or the angles of a
     random family, with delta1 also drawn as delta2 or as 0."""
     if draw(st.booleans()):
-        delta, theta = family_angles(draw(families()), P30)
+        delta, theta = family_angles(draw(families()))
     else:
         delta, theta = RI.point(draw(RATIONALS)), RI.point(draw(RATIONALS))
     return draw(st.sampled_from((delta, theta, RI.point(0)))), theta
@@ -99,6 +98,6 @@ def test_calibrate_matches_direct_scan(angles, n_max):
 
 def test_calibrate_matches_direct_scan_deep(fam1):
     # the 10^4 scan of verify --deep on D = 1
-    delta, theta = family_angles(fam1, P30)
+    delta, theta = family_angles(fam1)
     assert (outcome(calibrate_c2, delta, theta, 10**4)
             == outcome(calibrate_c2_direct, delta, theta, 10**4))

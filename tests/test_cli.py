@@ -14,7 +14,6 @@ import cubicthue.family
 import cubicthue.reduction
 import cubicthue.tracer
 from cubicthue.cli import main
-from cubicthue.config import PRECISION_ENV, Config, load_config
 from cubicthue.cubicfield import DEFAULT_PRECISION
 from cubicthue.family import example_family, family_to_json
 from cubicthue.reduction import Decomposition
@@ -422,36 +421,15 @@ def test_import_leaves_sympy_unloaded():
     assert "sympy" in names(project["optional-dependencies"]["test"])
 
 
-# -- config -------------------------------------------------------------------
+# -- one precision target ----------------------------------------------------
 
 
-def test_config_file_and_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"precision": "1e-10", "output": "json",
-                                "baker": {"c0": 2.0}}))
-    cfg = load_config(str(path))
-    assert cfg.precision == Fraction(1, 10**10)
-    assert cfg.output == "json"
-    # the retired "baker" key is ignored like any other unknown key
-    assert cfg == Config(precision=Fraction(1, 10**10), output="json")
-    monkeypatch.setenv(PRECISION_ENV, "1e-15")
-    cfg = load_config(str(path))
-    assert cfg.precision == Fraction(1, 10**15)
-
-
-def test_config_invalid_output_rejected(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"output": "xml"}))
-    from cubicthue.errors import InvalidParameter
-
-    with pytest.raises(InvalidParameter):
-        load_config(str(path))
-
-
-def test_cli_respects_config_output(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"output": "json"}))
-    code, out, _ = run_cli(capsys, "--config", str(path), "family",
-                           "--D", "1", "--n", "0")
-    assert code == 0
-    assert json.loads(out.splitlines()[0]) == {"schema": 1}
+def test_no_setting_moves_the_precision_target(monkeypatch, capsys):
+    # every command certifies at DEFAULT_PRECISION: no environment variable
+    # changes a byte of its output
+    argv = ("--output", "json", "solve", "--D", "1", "--n", "0..1",
+            "--k", "10", "--y-max", "25")
+    plain = run_cli(capsys, *argv)
+    monkeypatch.setenv("CUBICTHUE_PRECISION", "1e-10")
+    assert run_cli(capsys, *argv) == plain
+    assert plain[0] == 0 and len(plain[1].splitlines()) > 1

@@ -2,7 +2,6 @@
 
 The Mahler measures come from the sympy reference in `reference_heights`."""
 
-import random
 from fractions import Fraction
 
 import mpmath
@@ -61,11 +60,23 @@ def test_mahler_zero_polynomial():
         mahler_measure([0, 0])
 
 
+# each of the four cyclotomic factors of degree <= 2, times quadratics whose
+# roots lie inside, on and outside the unit circle, as real and complex pairs
+CYCLOTOMIC_PRODUCTS = [
+    ([1, 1], [1, 0, -1]),     # real pair on the circle; x + 1 repeated
+    ([1, 1], [1, -5, 6]),     # real pair outside: 2 and 3
+    ([1, 0, 1], [1, 1, 2]),   # complex pair outside, |r|^2 = 2
+    ([1, 0, 1], [1, 0, 1]),   # complex pair on the circle, repeated
+    ([1, 1, 1], [2, 1, 1]),   # complex pair inside, |r|^2 = 1/2
+    ([1, 1, 1], [1, -3, 1]),  # real pair, one root inside, one outside
+    ([1, -1, 1], [1, 3, 0]),  # real pair: 0 and -3
+    ([1, -1, 1], [1, 1, -1]),  # real pair: 0.618... and -1.618...
+]
+
+
 def test_mahler_multiplicative_on_products():
-    # oracle: M(f g) = M(f) M(g); products of cyclotomics and small factors
-    rng = random.Random(21)
+    # oracle: M(f g) = M(f) M(g)
     p10 = Fraction(1, 10**10)
-    cyclotomics = [[1, 1], [1, 0, 1], [1, 1, 1], [1, -1, 1]]
     measures = {}  # each distinct polynomial is measured once
 
     def measure(p):
@@ -74,15 +85,8 @@ def test_mahler_multiplicative_on_products():
             measures[key] = mahler_measure(p, p10)
         return measures[key]
 
-    for _ in range(50):
-        f = rng.choice(cyclotomics)
-        g = [1, rng.randint(-5, 5), rng.randint(-5, 5)]
-        fg = _poly_mul(f, g)
-        m_f = measure(f)
-        m_g = measure(g)
-        m_fg = measure(fg)
-        prod = m_f * m_g
-        assert m_fg.overlaps(prod)
+    for f, g in CYCLOTOMIC_PRODUCTS:
+        assert measure(_poly_mul(f, g)).overlaps(measure(f) * measure(g)), (f, g)
 
 
 def _poly_mul(f, g):

@@ -2,7 +2,6 @@
 
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -143,16 +142,6 @@ def test_complex_root_cap_witness():
                                                   with_decomposition=False))
     assert (-10, 268, -4, 64) in keys
     assert (-10, 335, -5, 125) in keys
-
-
-def test_precision_reaches_the_balance(fam1):
-    spec = SearchSpec(k=10, n_lo=0, n_hi=1, y_max=25)
-    tight = Fraction(1, 10**40)
-    default = solve_box(fam1, spec)
-    fine = solve_box(fam1, spec, precision=tight)
-    assert record_keys(fine) == record_keys(default)
-    assert all(r.decomposition.balance.width <= tight for r in fine)
-    assert any(r.decomposition.balance.width > tight for r in default)
 
 
 def test_convergent_source_beyond_the_scan(fam1):

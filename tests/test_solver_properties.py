@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cubicthue.cubicfield import DEFAULT_PRECISION, make_field
+from cubicthue.cubicfield import make_field
 from cubicthue.errors import ReduciblePolynomial, TotallyReal
 from cubicthue.family import (
     example_family,
@@ -221,17 +221,14 @@ _EPS1 = tuple(int(c) for c in _D1.epsilon.coords)
            st.tuples(st.tuples(*[st.integers(-10**6, 10**6)] * 3)
                      .filter(lambda c: c != (0, 0, 0)),
                      st.integers(-40, 40)),
-           min_size=1, max_size=3),
-       precision=st.sampled_from((Fraction(1, 10**10), DEFAULT_PRECISION,
-                                  Fraction(1, 10**45))))
-@example(fam=TIE_FAMILY, gammas=[(_EPS1, 1), (_EPS1, -2)],
-         precision=DEFAULT_PRECISION)
-def test_unit_reduce_matches_reference(fam, gammas, precision):
+           min_size=1, max_size=3))
+@example(fam=TIE_FAMILY, gammas=[(_EPS1, 1), (_EPS1, -2)])
+def test_unit_reduce_matches_reference(fam, gammas):
     cache = ReductionCache(fam)  # shared, as by the reductions of one solve
     for coords, h in gammas:
         gamma = fam.field.element(*coords) * fam.epsilon ** h
-        dec = unit_reduce(fam, gamma, precision, cache=cache)
-        ref = reference_unit_reduce(fam, gamma, precision)
+        dec = unit_reduce(fam, gamma, cache=cache)
+        ref = reference_unit_reduce(fam, gamma)
         assert (dec.ell, dec.xi, dec.norm_abs) == (ref.ell, ref.xi,
                                                    ref.norm_abs)
         assert (dec.balance.lo, dec.balance.hi) == (ref.balance.lo,

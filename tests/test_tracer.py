@@ -28,7 +28,6 @@ from cubicthue.tracer import (
 )
 
 P20 = Fraction(1, 10**20)
-P30 = Fraction(1, 10**30)
 
 
 def _solutions(fam, k=10, n_span=6, box=30):
@@ -67,7 +66,7 @@ def test_sum_encloses_zero(fam1):
 def test_dual_evaluation_agrees(fam1):
     # the product-form and sine-form paths are independent computations
     images = _images(fam1, 0, 1, -1)
-    trace = siegel_terms(images, P30)
+    trace = siegel_terms(images)
     for t, s in zip(trace.terms, trace.sine_ims):
         assert t.im.overlaps(s)
         assert t.re.contains_zero()
@@ -88,7 +87,7 @@ def test_purely_imaginary_widths(fam1, fam2):
     for fam in (fam1, fam2):
         for (n, x, y, v) in _solutions(fam, k=8, n_span=4, box=15)[:10]:
             images = _images(fam, n, x, y)
-            trace = siegel_terms(images, P30)
+            trace = siegel_terms(images)
             for t in trace.terms:
                 assert t.re.contains_zero()
                 assert t.re.width <= Fraction(1, 10**20)
@@ -113,7 +112,7 @@ def test_order_terms_top_two_split():
 
 
 def test_order_terms_ambiguous():
-    wide = RI.of(0, 3)
+    wide = RI(0, 3)
     assert order_terms(wide, wide, wide) is None
     trace_like = type("T", (), {"abs_terms": (wide, wide, wide)})
     with pytest.raises(AmbiguousOrdering):
@@ -198,7 +197,7 @@ def test_lambda_h_bound_over_sweep(fam1):
 
 
 def test_lambda_trivial_branch(fam1):
-    # ell = 0 with mu real positive would give Lambda = lambda2 = 0, h = 0;
+    # ell = 0 with mu real positive would give Lambda = theta_n = 0, h = 0;
     # realize the h = 0, small-Lambda situation through a synthetic
     # decomposition with rational xi
     dec = Decomposition(0, fam1.field.element(1), Fraction(1), RI.point(0))
@@ -264,7 +263,7 @@ def test_certificate_third_case_has_lambda(fam1):
 
 def test_family_angles_match_oracle(fam1):
     # oracle: direct 50-digit arg of the complex root image of epsilon
-    delta, theta = family_angles(fam1, P30)
+    delta, theta = family_angles(fam1)
     with mpmath.workdps(50):
         roots = mpmath.polyroots([1, 3, 3, -1])
         gp = [r for r in roots if mpmath.im(r) > 0][0]
