@@ -40,7 +40,7 @@ from .solver import (
     brute_force_oracle,
     record_keys,
     solve_box,
-    x_cap,
+    x_caps,
 )
 from .tracer import certificate_json, family_angles, trace_certificate
 
@@ -223,12 +223,13 @@ def _naive_sub_box(fam: FormFamily, spec: SearchSpec) -> tuple[SearchSpec, int]:
     """Largest sub-box y_max' <= y_max within the cell budget, or y_max' = 1
     when even that is over it (the caller then says so).
 
-    Returns it with its cell count (n_hi - n_lo + 1) * 2 y_max' * (2 x_cap + 1)."""
-    for y_max in range(spec.y_max, 0, -1):
-        sub = replace(spec, y_max=y_max)
-        cells = (spec.n_hi - spec.n_lo + 1) * 2 * y_max * (2 * x_cap(fam, sub) + 1)
+    Returns it with its cell count (n_hi - n_lo + 1) * 2 y_max' * (2 x_cap + 1);
+    every candidate's x_cap comes from one embedding of each beta_n."""
+    sizes = range(spec.y_max, 0, -1)
+    for y_max, cap in zip(sizes, x_caps(fam, spec, sizes)):
+        cells = (spec.n_hi - spec.n_lo + 1) * 2 * y_max * (2 * cap + 1)
         if cells <= NAIVE_CELL_BUDGET or y_max == 1:
-            return sub, cells
+            return replace(spec, y_max=y_max), cells
 
 
 def cmd_verify(args) -> int:

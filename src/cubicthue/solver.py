@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cubicfield import FieldElement
 from .errors import PrecisionExhausted
@@ -123,12 +123,21 @@ def _iroot(n: int, e: int) -> int:
 
 def x_cap(fam: FormFamily, spec: SearchSpec) -> int:
     """|x| bound closing the box; see `_cap`."""
-    return _cap({n: fam.beta(n) for n in spec.indices()}, spec)[0]
+    return x_caps(fam, spec, [spec.y_max])[0]
 
 
-def _cap(betas: dict, spec: SearchSpec) -> tuple[int, dict]:
-    """floor(y_max * max |root| + k^(1/3)) from certified upper bounds, and
-    the midpoint of each beta_n's real image that gave them.
+def x_caps(fam: FormFamily, spec: SearchSpec,
+           y_maxes: Iterable[int]) -> list[int]:
+    """`x_cap` of the box with each y_max of `y_maxes` in place of its own,
+    from one embedding of each beta_n."""
+    return _cap({n: fam.beta(n) for n in spec.indices()}, spec, y_maxes)[0]
+
+
+def _cap(betas: dict, spec: SearchSpec,
+         y_maxes: Iterable[int]) -> tuple[list[int], dict]:
+    """floor(y_max * max |root| + k^(1/3)) from certified upper bounds, for
+    each y_max of `y_maxes`, and the midpoint of each beta_n's real image
+    that gave them.
 
     F_n(x, y) = prod_i (x - b_i y) gives min_i |x - b_i y| <= k^(1/3), so
     every solution with |y| <= y_max has |x| <= y_max * |b_i| + k^(1/3) for
@@ -140,9 +149,10 @@ def _cap(betas: dict, spec: SearchSpec) -> tuple[int, dict]:
         top2 = max(top2, abs(real).hi ** 2, cplx.abs2().hi)
         roots[n] = real.mid
     # numerators over 2^32 of upper bounds on y_max * sqrt(top2) and k^(1/3)
-    top = math.isqrt(math.ceil(top2 * (spec.y_max << 32) ** 2)) + 1
     cbrt_k = _iroot(spec.k << 96, 3) + 1
-    return (top + cbrt_k) >> 32, roots
+    caps = [(math.isqrt(math.ceil(top2 * (y_max << 32) ** 2)) + 1 + cbrt_k) >> 32
+            for y_max in y_maxes]
+    return caps, roots
 
 
 def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, dict, int, list]:
@@ -156,7 +166,7 @@ def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, dict, int, list]:
     if spec.k == 0:
         return found, {}, 0, []
     betas = {n: fam.beta(n) for n in spec.indices()}
-    cap, roots = _cap(betas, spec)
+    (cap,), roots = _cap(betas, spec, [spec.y_max])
     rows = []
     for n, beta in betas.items():
         form = norm_form(beta)

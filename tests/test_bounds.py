@@ -1,13 +1,29 @@
 """Empirical calibration of the sine lower bound."""
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubicthue.bounds import calibrate_c2
+import cubicthue.bounds
+import cubicthue.intervals
+from cubicthue.bounds import (
+    DISK_GUARD_BITS,
+    _rotate,
+    calibrate_c2,
+    unit_disks,
+)
 from cubicthue.errors import DegenerateAngle
-from cubicthue.intervals import RI, ri_exp, ri_log, ri_sin
+from cubicthue.intervals import (
+    RI,
+    bits_for_width,
+    ri_cos,
+    ri_exp,
+    ri_log,
+    ri_sin,
+)
 from cubicthue.tracer import family_angles
 from reference_bounds import calibrate_c2_direct
 from test_solver_properties import families
@@ -101,3 +117,74 @@ def test_calibrate_matches_direct_scan_deep(fam1):
     delta, theta = family_angles(fam1)
     assert (outcome(calibrate_c2, delta, theta, 10**4)
             == outcome(calibrate_c2_direct, delta, theta, 10**4))
+
+
+@pytest.mark.parametrize("fam_name", ["fam2", "fam3"])
+def test_calibrate_matches_direct_scan_deep_beyond_d1(fam_name, request):
+    # the same scan to 2,000 on D = 2 and D = 3, whose angles differ
+    delta, theta = family_angles(request.getfixturevalue(fam_name))
+    assert (outcome(calibrate_c2, delta, theta, 2000)
+            == outcome(calibrate_c2_direct, delta, theta, 2000))
+
+
+def test_calibrate_bridge_calls(fam1, monkeypatch):
+    # three cos/sin pairs for the disks, then one call per certified log
+    delta, theta = family_angles(fam1)
+    calls = {"bridge": 0, "log": 0}
+    call_iv, log = cubicthue.intervals._call_iv, cubicthue.bounds.ri_log
+
+    def counted_call_iv(*args):
+        calls["bridge"] += 1
+        return call_iv(*args)
+
+    def counted_log(*args):
+        calls["log"] += 1
+        return log(*args)
+
+    monkeypatch.setattr(cubicthue.intervals, "_call_iv", counted_call_iv)
+    monkeypatch.setattr(cubicthue.bounds, "ri_log", counted_log)
+    calibrate_c2(delta, theta, 10**4, P25)
+    assert 0 < calls["log"] < 100
+    assert calls["bridge"] <= 6 + calls["log"]
+
+
+def disk_holds(disk, angle, p, bits):
+    """Whether the disk (c, s, r) on the grid 2^-p holds the whole box of
+    cos and sin enclosures of the point angle at `bits`."""
+    c, s, r = disk
+    cos, sin = ri_cos(angle, bits), ri_sin(angle, bits)
+    mc, ms, unit = Fraction(c, 1 << p), Fraction(s, 1 << p), Fraction(1, 1 << p)
+    dx = max(abs(mc - cos.lo), abs(mc - cos.hi))
+    dy = max(abs(ms - sin.lo), abs(ms - sin.hi))
+    return dx * dx + dy * dy <= (r * unit) ** 2
+
+
+def test_unit_disks_hold_their_arcs(fam1):
+    # every baby and giant disk of a 10^5 scan on D = 1 (B = 448) holds
+    # e^(i phi) at both ends of its angle interval: the disk of j delta2
+    # must hold j * lo and j * hi, which a disk that lost its accumulated
+    # radius no longer does after a few rotations
+    delta, theta = family_angles(fam1)
+    n_max = 10**5
+    bits = bits_for_width(P25)
+    p = bits + DISK_GUARD_BITS
+    baby, giant = unit_disks(delta, theta, n_max, p)
+    step = math.isqrt(2 * n_max) + 1
+    assert len(baby) == step == 448
+    assert len(giant) == len(range(-n_max, n_max + 1, step))
+    angles = [j * theta for j in range(step)]
+    start, turn = delta - n_max * theta, step * theta
+    angles += [start + k * turn for k in range(len(giant))]
+    for disk, angle in zip(baby + giant, angles):
+        for end in (angle.lo, angle.hi):
+            assert disk_holds(disk, RI.point(end), p, 2 * bits)
+
+
+def test_rotation_holds_disks_at_their_radius():
+    # disks whose midpoints lie 0.99 units from their unit vectors on the
+    # grid 2^-4: the floored product lies 3.22 units from e^(i (a + b)),
+    # beyond r_z + r_w + ceil(r_z r_w 2^-p) = 3, so the rounding term counts
+    a, b = RI.point(Fraction(118455, 10**5)), RI.point(Fraction(-217116, 10**5))
+    z, w = (7, 15, 1), (-10, -13, 1)
+    assert disk_holds(z, a, 4, 64) and disk_holds(w, b, 4, 64)
+    assert disk_holds(_rotate(z, w, 4), a + b, 4, 64)

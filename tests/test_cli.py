@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import cubicthue.cli
+import cubicthue.cubicfield
 import cubicthue.family
 import cubicthue.reduction
 import cubicthue.tracer
@@ -202,6 +203,32 @@ def test_verify_names_a_sub_box_over_the_cell_budget(monkeypatch, capsys):
     assert line.startswith("[D=1] ok   naive_oracle_equivalence: literal "
                            "triple loop, y_max' = 1, ")
     assert line.endswith(" cells, over the 1000-cell budget")
+
+
+def test_verify_sub_box_embeds_each_index_once(monkeypatch, capsys):
+    # verify --D 3 tries every y_max' from 30 down to 1; pricing them takes
+    # one embedding of each of the seven beta_n, not one per y_max'
+    embeds = [0]
+    real_embed = cubicthue.cubicfield.FieldElement.embed
+    real_sub_box = cubicthue.cli._naive_sub_box
+    during = {}
+
+    def counted_embed(self, *args, **kwargs):
+        embeds[0] += 1
+        return real_embed(self, *args, **kwargs)
+
+    def counted_sub_box(fam, spec):
+        before = embeds[0]
+        sub, cells = real_sub_box(fam, spec)
+        during[sub.y_max] = embeds[0] - before
+        return sub, cells
+
+    monkeypatch.setattr(cubicthue.cubicfield.FieldElement, "embed",
+                        counted_embed)
+    monkeypatch.setattr(cubicthue.cli, "_naive_sub_box", counted_sub_box)
+    code, out, _ = run_cli(capsys, "verify", "--D", "3")
+    assert code == 0
+    assert during == {1: 7}
 
 
 def test_verify_naive_oracle_equivalence_can_fail(monkeypatch, capsys):
