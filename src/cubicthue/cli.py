@@ -65,8 +65,10 @@ _SOLUTION_INPUT_ERRORS = (errors.DegenerateN, errors.TrivialXY,
 
 def _parse_n_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = (int(end) for end in text.split("..", 1))
+        if lo > hi:
+            raise errors.InvalidParameter("empty index range")
+        return lo, hi
     n = int(text)
     return n, n
 
@@ -176,7 +178,7 @@ def _verify_checks(fam: FormFamily, deep: bool):
             coords = [1, 0, 0]
         gamma = fam.field.element(*coords)
         dec = unit_reduce(fam, gamma)
-        if (fam.epsilon ** dec.ell) * dec.xi != gamma or dec.balance.hi > reg_half:
+        if fam.unit_power(dec.ell) * dec.xi != gamma or dec.balance.hi > reg_half:
             ok = False
             break
     yield "unit_reduction", ok, "exact reconstruction and balance <= R/2 + 1e-9"

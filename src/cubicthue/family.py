@@ -23,6 +23,7 @@ order (3D, 3D^2) is inconsistent with trace(epsilon^2) already at D = 2.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,11 +32,12 @@ from typing import Sequence
 from .cubicfield import (
     CubicField,
     FieldElement,
+    SplittingAlgebra,
     has_rational_root,
     make_field,
 )
 from .errors import InvalidParameter, NotAUnit
-from .intervals import refine
+from .intervals import RI, refine, ri_log, ri_sqrt
 from .reporting import frac_str
 
 
@@ -77,12 +79,23 @@ class BinaryCubicForm:
 
 @dataclass(frozen=True, slots=True)
 class FormFamily:
-    """Family data: field, integral generator alpha, unit epsilon > 1."""
+    """Family data: field, integral generator alpha, unit epsilon > 1.
+
+    The family is also the context that solving, tracing and verifying
+    share: every member has the same epsilon and alpha, so their enclosures
+    per working precision (`at`), the powers of epsilon (`unit_power`) and
+    the splitting algebra (`algebra`) are made on first use and memoised on
+    the family, as `CubicField.complex_root` memoises root boxes.  Each
+    value depends on (epsilon, alpha, bits) alone, so the memo changes no
+    result.  It takes no part in `==`, `hash` or the repr, and
+    `dataclasses.replace` gives the new family an empty one."""
 
     field: CubicField
     alpha: FieldElement
     epsilon: FieldElement
     D: int | None = None
+    _memo: dict = dataclasses.field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def beta(self, n: int) -> FieldElement:
         """epsilon^n * alpha, the real root of the n-th form."""
@@ -91,6 +104,50 @@ class FormFamily:
     def is_degenerate_index(self, n: int) -> bool:
         """True when epsilon^n * alpha is rational and the form degenerates."""
         return self.beta(n).is_rational()
+
+    def _memoised(self, key, make):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make()
+        return value
+
+    def at(self, bits: int) -> "FamilyImages":
+        """The family's enclosures at working precision `bits`."""
+        return self._memoised(("at", bits), lambda: FamilyImages(self, bits))
+
+    def unit_power(self, ell: int) -> FieldElement:
+        """epsilon^ell."""
+        return self._memoised(("power", ell), lambda: self.epsilon ** ell)
+
+    def algebra(self) -> SplittingAlgebra:
+        """The splitting algebra of the family's field."""
+        return self._memoised("algebra", lambda: SplittingAlgebra(self.field))
+
+
+class FamilyImages:
+    """Real (`_r`) and complex (`_c`) images of epsilon and alpha at one
+    working precision, with R = log epsilon, sqrt(epsilon), |alpha'| and,
+    per norm m on demand, (1/3) log m."""
+
+    def __init__(self, fam: FormFamily, bits: int):
+        width = Fraction(1, 1 << bits)
+        self.bits = bits
+        self.eps_r, self.eps_c = fam.epsilon.embed(width)
+        self.alpha_r, self.alpha_c = fam.alpha.embed(width)
+        self.log_eps = ri_log(self.eps_r, bits)
+        self.sqeps = ri_sqrt(self.eps_r, bits)
+        self.abs_alpha_c = self.alpha_c.abs(bits)
+        self._log_m3: dict[Fraction, RI] = {}
+
+    def half_power(self, two_j: int) -> RI:
+        """epsilon^(two_j / 2), that is |epsilon'|^(-two_j)."""
+        return self.sqeps.pow_int(two_j)
+
+    def log_m3(self, m: Fraction) -> RI:
+        value = self._log_m3.get(m)
+        if value is None:
+            value = self._log_m3[m] = ri_log(RI.point(m), self.bits) / 3
+        return value
 
 
 def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,

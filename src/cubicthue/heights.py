@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cubicfield import DEFAULT_BITS, DEFAULT_PRECISION, FieldElement
-from .errors import NotAUnit, ZeroElement
+from .errors import ZeroElement
 from .family import FormFamily
-from .intervals import CBox, RI, bits_for_width, refine, ri_log, ri_root, ri_sqrt
+from .intervals import CBox, RI, bits_for_width, refine, ri_log, ri_root
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,18 +91,10 @@ def abs_log_height(x: FieldElement, precision=DEFAULT_PRECISION) -> HeightReport
 
 def regulator(fam: FormFamily, precision=DEFAULT_PRECISION) -> RI:
     """Enclosure of log(epsilon) for the family unit epsilon > 1."""
-    eps = fam.epsilon
-    if abs(eps.norm()) != 1 or not eps.is_integral():
-        raise NotAUnit(f"norm {eps.norm()}")
     target = Fraction(precision)
 
     def step(bits: int) -> RI | None:
-        real = eps.real_embedding(Fraction(1, 1 << bits))
-        if real.hi <= 1:
-            raise NotAUnit("epsilon not > 1")
-        if real.lo <= 1:
-            return None
-        result = ri_log(real, bits)
+        result = fam.at(bits).log_eps
         return result if result.width <= target else None
 
     return refine(step, bits_for_width(target), "regulator did not certify")
@@ -130,11 +122,8 @@ def check_fundamental(fam: FormFamily) -> FundamentalityResult:
     epsilon fundamental.  The discriminant used is that of the defining
     polynomial (it equals the field discriminant times the square of an
     index, so a proof here certifies fundamentality in the order Z[g])."""
-    eps = fam.epsilon
-    if abs(eps.norm()) != 1 or not eps.is_integral():
-        raise NotAUnit(f"norm {eps.norm()}")
-    real = eps.real_embedding(Fraction(1, 1 << DEFAULT_BITS))
-    threshold = 4 * real * ri_sqrt(real, DEFAULT_BITS) + 24
+    images = fam.at(DEFAULT_BITS)
+    threshold = 4 * images.eps_r * images.sqeps + 24
     disc_abs = abs(fam.field.disc)
     margin = RI.point(disc_abs) - threshold
     status = "proved_fundamental" if margin.lo >= 0 else "unknown"

@@ -21,9 +21,9 @@ point t = h + 1/2, decided by the sixth-power identity `_is_exact_tie`,
 goes to the smaller index h: dev = R/2 keeps ell, dev = -R/2 moves it down
 by one.  When dev straddles +-R/2 and no tie holds, the precision doubles.
 
-R and (1/3) log m per working precision, and epsilon^(+-ell) per exponent,
-live in a `ReductionCache` that one solving call makes and drops: nothing
-is kept on the family between calls.  The enclosures of xi that a trace
+R and (1/3) log m per working precision, and epsilon^ell per exponent,
+come from the family (`FormFamily.at`, `FormFamily.unit_power`), so every
+reduction of one command shares them.  The enclosures of xi that a trace
 certificate needs after the split, kappa9 among them, belong to the
 tracer's `SolutionImages`.
 """
@@ -61,67 +61,29 @@ def _is_exact_tie(gamma: FieldElement, eps: FieldElement, m: Fraction,
     return gamma ** 6 == (eps ** (6 * h + 3)) * (m * m)
 
 
-class ReductionCache:
-    """What the reductions of one call share, made once and then reused.
-
-    R = log(epsilon) per working precision, (1/3) log m per (m, precision),
-    epsilon^ell and epsilon^-ell per exponent (one `inverse` in all), and the
-    float image of the complex root that seeds the guesses."""
-
-    def __init__(self, fam: FormFamily):
-        self.eps = fam.epsilon
-        box = fam.field.complex_root(64)
-        self._z = complex(float(box.re.mid), float(box.im.mid))
-        # N(epsilon) = +-1, so log epsilon = -2 log|epsilon'|
-        self._reg_float = -2 * self._log_abs_complex(self.eps)
-        self._eps_inv = self.eps.inverse()
-        self._reg: dict[int, RI] = {}
-        self._log_m3: dict[tuple[Fraction, int], RI] = {}
-        self._powers: dict[int, tuple[FieldElement, FieldElement]] = {}
-
-    def _log_abs_complex(self, el: FieldElement) -> float:
-        """log|el'| in floats, the numerators cut to 1000 bits first."""
-        s = max(0, max(abs(el.n0).bit_length(), abs(el.n1).bit_length(),
-                       abs(el.n2).bit_length()) - 1000)
-        z = self._z
-        v = abs(((el.n2 >> s) * z + (el.n1 >> s)) * z + (el.n0 >> s))
-        if not v:
-            return -math.inf
-        return math.log(v) + s * math.log(2) - math.log(el.d)
-
-    def guess(self, gamma: FieldElement, m: Fraction) -> int:
-        """Nearest integer to t, from log|gamma| = log m - 2 log|gamma'|."""
-        log_m = math.log(m.numerator) - math.log(m.denominator)
-        log_c = self._log_abs_complex(gamma)
-        t = (2 * log_m / 3 - 2 * log_c) / self._reg_float
-        return math.floor(t + 0.5) if math.isfinite(t) else 0
-
-    def reg(self, bits: int) -> RI:
-        reg = self._reg.get(bits)
-        if reg is None:
-            real = self.eps.real_embedding(Fraction(1, 1 << bits))
-            reg = self._reg[bits] = ri_log(real, bits)
-        return reg
-
-    def log_m3(self, m: Fraction, bits: int) -> RI:
-        value = self._log_m3.get((m, bits))
-        if value is None:
-            value = self._log_m3[m, bits] = ri_log(RI.point(m), bits) / 3
-        return value
-
-    def powers(self, ell: int) -> tuple[FieldElement, FieldElement]:
-        """(epsilon^ell, epsilon^-ell)."""
-        pair = self._powers.get(ell)
-        if pair is None:
-            up, down = self.eps, self._eps_inv
-            if ell < 0:
-                up, down = down, up
-            pair = self._powers[ell] = (up ** abs(ell), down ** abs(ell))
-        return pair
+def _log_abs_complex(el: FieldElement, z: complex) -> float:
+    """log|el'| in floats at the float complex root z, the numerators cut to
+    1000 bits first."""
+    s = max(0, max(abs(el.n0).bit_length(), abs(el.n1).bit_length(),
+                   abs(el.n2).bit_length()) - 1000)
+    v = abs(((el.n2 >> s) * z + (el.n1 >> s)) * z + (el.n0 >> s))
+    if not v:
+        return -math.inf
+    return math.log(v) + s * math.log(2) - math.log(el.d)
 
 
-def unit_reduce(fam: FormFamily, gamma: FieldElement, *,
-                cache: ReductionCache | None = None) -> Decomposition:
+def _guess(fam: FormFamily, gamma: FieldElement, m: Fraction) -> int:
+    """Nearest integer to t, from log|gamma| = log m - 2 log|gamma'| and,
+    as N(epsilon) = +-1, log epsilon = -2 log|epsilon'|, all in floats."""
+    box = fam.field.complex_root(64)
+    z = complex(float(box.re.mid), float(box.im.mid))
+    log_m = math.log(m.numerator) - math.log(m.denominator)
+    reg = -2 * _log_abs_complex(fam.epsilon, z)
+    t = (2 * log_m / 3 - 2 * _log_abs_complex(gamma, z)) / reg
+    return math.floor(t + 0.5) if math.isfinite(t) else 0
+
+
+def unit_reduce(fam: FormFamily, gamma: FieldElement) -> Decomposition:
     """Decompose gamma exactly as epsilon^ell * xi with balanced xi.
 
     ell is the nearest integer to t, the smaller one at an exact halfway
@@ -129,29 +91,24 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement, *,
     (module docstring).  The balance is max over the three embeddings of
     |log(|embedding of xi| / m^(1/3))|, at the first precision from
     `DEFAULT_BITS` upwards, doubling, where its width is at most
-    `DEFAULT_PRECISION`.  `cache` carries R, (1/3) log m and the powers of
-    epsilon between the reductions of one solving call; without it the
-    call makes its own."""
+    `DEFAULT_PRECISION`."""
     if gamma.is_zero():
         raise ZeroElement("cannot reduce zero")
-    if cache is None:
-        cache = ReductionCache(fam)
     m = abs(gamma.norm())
-    ell = cache.guess(gamma, m)
+    ell = _guess(fam, gamma, m)
     while True:
-        u, u_inv = cache.powers(ell)
-        xi = u_inv * gamma
-        move, balance = refine(_certify_step(cache, gamma, ell, xi, m),
+        xi = fam.unit_power(-ell) * gamma
+        move, balance = refine(_certify_step(fam, gamma, ell, xi, m),
                                DEFAULT_BITS,
                                "unit reduction did not certify")
         if not move:
             break
         ell += move
-    assert u * xi == gamma
+    assert fam.unit_power(ell) * xi == gamma
     return Decomposition(ell, xi, m, balance)
 
 
-def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
+def _certify_step(fam: FormFamily, gamma: FieldElement, ell: int,
                   xi: FieldElement, m: Fraction):
     """A `refine` step giving (0, balance) when ell is the balancing
     exponent, (move, None) when it is certified off by about `move`, and
@@ -165,13 +122,14 @@ def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
         cabs2 = cplx.abs2()
         if not abs(real).is_positive() or not cabs2.is_positive():
             return None
-        log_m3 = cache.log_m3(m, bits)
+        images = fam.at(bits)
+        log_m3 = images.log_m3(m)
         dev = ri_log(abs(real), bits) - log_m3
         if first is None:
             balance = abs(dev).max_with(abs(ri_log(cabs2, bits) / 2 - log_m3))
             if balance.width <= DEFAULT_PRECISION:
                 first = balance
-        reg = cache.reg(bits)
+        reg = images.log_eps
         half = reg / 2
         if abs(dev).certainly_lt(half):
             return None if first is None else (0, first)
@@ -181,9 +139,9 @@ def _certify_step(cache: ReductionCache, gamma: FieldElement, ell: int,
             return min(-1, round(dev.mid / reg.mid)), None
         # dev straddles R/2 (t may be ell + 1/2) or -R/2 (t may be ell - 1/2);
         # an exact halfway point goes to the smaller index
-        if dev.is_positive() and _is_exact_tie(gamma, cache.eps, m, ell):
+        if dev.is_positive() and _is_exact_tie(gamma, fam.epsilon, m, ell):
             return None if first is None else (0, first)
-        if dev.is_negative() and _is_exact_tie(gamma, cache.eps, m, ell - 1):
+        if dev.is_negative() and _is_exact_tie(gamma, fam.epsilon, m, ell - 1):
             return -1, None
         return None
 

@@ -54,7 +54,7 @@ from .cubicfield import FieldElement
 from .errors import PrecisionExhausted
 from .family import BinaryCubicForm, FormFamily, norm_form
 from .intervals import CBox, RI, refine
-from .reduction import Decomposition, ReductionCache, unit_reduce
+from .reduction import Decomposition, unit_reduce
 from .reporting import frac_str, ri_json
 
 
@@ -182,14 +182,12 @@ def _finish(fam: FormFamily, found: dict, with_decomposition: bool,
             betas: dict) -> list[SolutionRecord]:
     """Sorted records; decomposes gamma = x - beta_n y for each solution.
 
-    `betas` maps every index of the box to its beta_n.  The reductions
-    share one `ReductionCache`, dropped on return."""
+    `betas` maps every index of the box to its beta_n."""
     records = []
-    cache = ReductionCache(fam) if with_decomposition else None
     for (n, x, y), (value, degenerate) in found.items():
         dec = None
         if with_decomposition and not degenerate and x != 0 and y != 0:
-            dec = unit_reduce(fam, (-y) * betas[n] + x, cache=cache)
+            dec = unit_reduce(fam, (-y) * betas[n] + x)
             assert dec.norm_abs == abs(value), "norm and form value disagree"
         records.append(SolutionRecord(
             n, x, y, value, math.gcd(abs(x), abs(y)) == 1, degenerate, dec))

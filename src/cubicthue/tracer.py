@@ -13,10 +13,12 @@ All case decisions run on certified intervals with automatic precision
 escalation; a decision that cannot be made at the precision cap
 (`intervals.MAX_BITS`) raises instead of guessing.
 
-The stages read one `SolutionImages` per solution, which embeds epsilon,
-alpha and xi once per working precision (the lambda stage, the only reader
-of beta_n's images, embeds beta_n itself); every enclosure depends on
-(element, bits) alone, so sharing them changes no output.
+The stages read the family's enclosures of epsilon and alpha from the
+family itself (`FormFamily.at`), which the unit reduction has already
+filled, and one `SolutionImages` per solution, which embeds xi once per
+working precision (the lambda stage, the only reader of beta_n's images,
+embeds beta_n itself); every enclosure depends on (element, bits) alone,
+so sharing them changes no output.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .intervals import (
     ri_log,
     ri_pi,
     ri_sin,
-    ri_sqrt,
 )
 from .reporting import cbox_json, frac_str, ri_json
 
@@ -123,26 +124,18 @@ class LambdaData:
 
 
 class Images:
-    """Real (`_r`) and complex (`_c`) images of epsilon, alpha and xi at one
-    working precision, with sqrt(epsilon), |alpha'| and |xi'|."""
+    """Real (`xi_r`) and complex (`xi_c`) images of xi at one working
+    precision, with |xi'|; those of epsilon and alpha are the family's."""
 
-    def __init__(self, sol: SolutionImages, bits: int):
-        width = Fraction(1, 1 << bits)
-        self.eps_r, self.eps_c = sol.fam.epsilon.embed(width)
-        self.alpha_r, self.alpha_c = sol.fam.alpha.embed(width)
-        self.xi_r, self.xi_c = sol.dec.xi.embed(width)
-        self.sqeps = ri_sqrt(self.eps_r, bits)
-        self.abs_alpha_c = self.alpha_c.abs(bits)
+    def __init__(self, xi: FieldElement, bits: int):
+        self.xi_r, self.xi_c = xi.embed(Fraction(1, 1 << bits))
         self.abs_xi_c = self.xi_c.abs(bits)
-
-    def half_power(self, two_j: int) -> RI:
-        """epsilon^(two_j / 2), that is |epsilon'|^(-two_j)."""
-        return self.sqeps.pow_int(two_j)
 
 
 class SolutionImages:
     """One audited solution: beta_n = epsilon^n alpha, the decomposition of
-    x - beta_n y, and its `Images`, made once per working precision."""
+    x - beta_n y, and the `Images` of its xi, made once per working
+    precision."""
 
     def __init__(self, fam: FormFamily, n: int, dec: Decomposition,
                  beta: FieldElement):
@@ -152,7 +145,7 @@ class SolutionImages:
 
     def at(self, bits: int) -> Images:
         if bits not in self._levels:
-            self._levels[bits] = Images(self, bits)
+            self._levels[bits] = Images(self.dec.xi, bits)
         return self._levels[bits]
 
     def house(self, k: int, bits: int) -> tuple[RI, RI]:
@@ -195,11 +188,9 @@ def family_angles(fam: FormFamily) -> tuple[RI, RI]:
     """(delta, theta): angles of the complex images of alpha and epsilon."""
 
     def step(bits: int) -> tuple[RI, RI] | None:
-        width = Fraction(1, 1 << bits)
-        _, abox = fam.alpha.embed(width)
-        _, ebox = fam.epsilon.embed(width)
-        delta = _angle_of_element_image(fam.alpha, abox, bits)
-        theta = _angle_of_element_image(fam.epsilon, ebox, bits)
+        images = fam.at(bits)
+        delta = _angle_of_element_image(fam.alpha, images.alpha_c, bits)
+        theta = _angle_of_element_image(fam.epsilon, images.eps_c, bits)
         if (delta is not None and theta is not None
                 and delta.width <= DEFAULT_PRECISION
                 and theta.width <= DEFAULT_PRECISION):
@@ -248,29 +239,30 @@ def classify_case(trace: SiegelTrace) -> tuple[str, TraceCheck]:
 def _term_boxes(images: SolutionImages, bits: int) -> tuple | None:
     """(terms, sine forms, angles) at one working precision, or None when an
     angle straddles the branch cut."""
-    im = images.at(bits)
+    fim, im = images.fam.at(bits), images.at(bits)
     n, ell = images.n, images.dec.ell
-    eps_r, eps_c = im.eps_r, im.eps_c
+    eps_r, eps_c = fim.eps_r, fim.eps_c
 
-    z_beta = im.alpha_c * eps_c.pow_int(n)       # complex image of the form root
+    z_beta = fim.alpha_c * eps_c.pow_int(n)      # complex image of the form root
     gamma_r = eps_r.pow_int(ell) * im.xi_r       # real image of epsilon^ell xi
     w2 = eps_c.pow_int(ell) * im.xi_c            # complex image of the same
     t1 = CBox.from_real(gamma_r) * (z_beta - z_beta.conj())
-    t2 = CBox.from_real(im.alpha_r * eps_r.pow_int(n)) * (w2.conj() - w2)
+    t2 = CBox.from_real(fim.alpha_r * eps_r.pow_int(n)) * (w2.conj() - w2)
     w3 = w2 * z_beta.conj()
     t3 = w3 - w3.conj()
 
     theta = _angle_mod_2pi(eps_c, bits)
-    delta = _angle_of_element_image(images.fam.alpha, im.alpha_c, bits)
+    delta = _angle_of_element_image(images.fam.alpha, fim.alpha_c, bits)
     v = _angle_of_element_image(images.dec.xi, im.xi_c, bits)
     if theta is None or delta is None or v is None:
         return None
     s1 = ri_sin(delta + n * theta, bits)
     s2 = ri_sin(v + ell * theta, bits)
     s3 = ri_sin(v - delta + (ell - n) * theta, bits)
-    sine1 = 2 * im.xi_r * im.abs_alpha_c * im.half_power(2 * ell - n) * s1
-    sine2 = -2 * im.abs_xi_c * im.alpha_r * im.half_power(2 * n - ell) * s2
-    sine3 = 2 * im.abs_xi_c * im.abs_alpha_c * im.half_power(-(n + ell)) * s3
+    half_power, abs_alpha_c = fim.half_power, fim.abs_alpha_c
+    sine1 = 2 * im.xi_r * abs_alpha_c * half_power(2 * ell - n) * s1
+    sine2 = -2 * im.abs_xi_c * fim.alpha_r * half_power(2 * n - ell) * s2
+    sine3 = 2 * im.abs_xi_c * abs_alpha_c * half_power(-(n + ell)) * s3
     return (t1, t2, t3), (sine1, sine2, sine3), (theta, delta, v)
 
 
@@ -278,12 +270,12 @@ def _exact_zero_terms(images: SolutionImages) -> tuple[str, ...]:
     """Exact detection of identically-vanishing terms (degenerate sines)."""
     fam, beta, dec = images.fam, images.beta, images.dec
     flags = []
-    gamma = (fam.epsilon ** dec.ell) * dec.xi
+    gamma = fam.unit_power(dec.ell) * dec.xi
     if beta.is_rational():
         flags.append("T1")  # sin(delta + n*theta) in Z*pi
     if gamma.is_rational():
         flags.append("T2")  # sin(v + ell*theta) in Z*pi
-    alg = SplittingAlgebra(fam.field)
+    alg = fam.algebra()
     w3 = alg.sigma(gamma) * alg.sigma_bar(beta)
     if alg.is_real_value(w3):
         flags.append("T3")  # sin(v - delta + (ell-n)*theta) in Z*pi
@@ -356,10 +348,10 @@ def inequality_ledger(images: SolutionImages, x: int, y: int, k: int,
     if k < 2:
         raise InvalidParameter("the estimates assume k >= 2")
     bits = max(trace.precision_bits, DEFAULT_BITS)
-    im = images.at(bits)
+    fim, im = images.fam.at(bits), images.at(bits)
     n, ell = images.n, images.dec.ell
-    eps_r, half_power = im.eps_r, im.half_power
-    abs_alpha, abs_alpha_c = abs(im.alpha_r), im.abs_alpha_c
+    eps_r, half_power = fim.eps_r, fim.half_power
+    abs_alpha, abs_alpha_c = abs(fim.alpha_r), fim.abs_alpha_c
     abs_xi, abs_xi_c = abs(im.xi_r), im.abs_xi_c
     log_k, kappa9 = images.house(k, bits)
     k_pow_kappa9 = ri_exp(kappa9 * log_k, bits)
@@ -501,17 +493,17 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
         raise NotThirdCase(f"trace case is {trace.case}")
     fam, n, dec, beta = images.fam, images.n, images.dec, images.beta
     ell = dec.ell
-    alg = SplittingAlgebra(fam.field)
+    alg = fam.algebra()
     mu_split = alg.sigma(dec.xi) * (alg.sigma_bar(beta) - alg.from_k(beta))
-    w_split = mu_split * alg.sigma(fam.epsilon ** ell)
+    w_split = mu_split * alg.sigma(fam.unit_power(ell))
     # squares decide branch-cut ties exactly: z^2 real and the box on the
     # negative axis together pin conj(z)/z = -1
     mu_sq = None if mu_split.is_zero() else mu_split * mu_split
     w_sq = None if w_split.is_zero() else w_split * w_split
 
     def step(bits: int):
-        im = images.at(bits)
-        eps_c = im.eps_c
+        im, fim = images.at(bits), fam.at(bits)
+        eps_c = fim.eps_c
         beta_r, beta_c = beta.embed(Fraction(1, 1 << bits))
         rho = CBox.from_real(im.xi_r) * (beta_c - beta_c.conj())
         mu = im.xi_c * (beta_c.conj() - CBox.from_real(beta_r))
@@ -533,16 +525,16 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
                        theta_n.width) <= DEFAULT_PRECISION
         if h is None or not ok_width:
             return None
-        return bits, im, rho, w, q, nu, theta_n, big_lambda, h
+        return bits, fim, rho, w, q, nu, theta_n, big_lambda, h
 
-    bits, im, rho, w, q, nu, theta_n, big_lambda, h = refine(
+    bits, fim, rho, w, q, nu, theta_n, big_lambda, h = refine(
         step, DEFAULT_BITS, "period count h could not be pinned")
 
     checks = []
     checks.append(TraceCheck("h_bound", abs(h) <= abs(ell) + 2,
                              RI.point(abs(ell) + 2 - abs(h)),
                              "period count within |l| + 2"))
-    residual = (rho * CBox.from_real(im.eps_r.pow_int(ell)) + w - w.conj())
+    residual = (rho * CBox.from_real(fim.eps_r.pow_int(ell)) + w - w.conj())
     checks.append(TraceCheck("identity_residual", residual.contains_zero(),
                              RI.point(residual.width),
                              "rho eps^l + mu eps'^l - conj(...) encloses 0"))
@@ -558,7 +550,7 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
                                  "skipped: |e^Lambda - 1| >= 1/2"))
 
     # quantitative smallness row with its tight constant
-    scale = im.half_power(-(n + 3 * abs(ell)))
+    scale = fim.half_power(-(n + 3 * abs(ell)))
     if k is not None and k >= 2:
         log_k, kappa9 = images.house(k, bits)
         scale = scale * ri_exp(kappa9 * log_k, bits)

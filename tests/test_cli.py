@@ -50,6 +50,15 @@ def test_family_invalid_parameter_exit_2(capsys):
     assert "invalid" in err.lower()
 
 
+def test_family_empty_range_exit_2(capsys):
+    # the same message and exit code as solve gives for an empty range
+    for command in (("family",), ("solve", "--k", "3")):
+        code, out, err = run_cli(capsys, command[0], "--D", "1", "--n", "5..3",
+                                 *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "invalid parameters: empty index range\n"
+
+
 def test_family_json_mode(capsys):
     code, out, _ = run_cli(capsys, "--output", "json", "family", "--D", "1",
                            "--n", "0..1")

@@ -11,7 +11,8 @@ from cubicthue.errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
 from cubicthue.family import make_family
 from cubicthue.heights import regulator
 from cubicthue.intervals import RI, bits_for_width, ri_exp, ri_log
-from cubicthue.reduction import ReductionCache, decompose_solution, unit_reduce
+from cubicthue import reduction
+from cubicthue.reduction import decompose_solution, unit_reduce
 from cubicthue.solver import SearchSpec, solve_box
 from cubicthue.tracer import SolutionImages
 from reference_reduction import reference_unit_reduce
@@ -175,14 +176,14 @@ def _box_gammas(fam):
 def test_wrong_guess_gives_the_same_decomposition(fam1, monkeypatch, offset):
     gammas = _box_gammas(fam1)
     expected = [unit_reduce(fam1, gamma) for gamma in gammas]
-    guess = ReductionCache.guess
+    guess = reduction._guess
     calls = []
 
-    def off(self, gamma, m):
+    def off(fam, gamma, m):
         calls.append(gamma)
-        return guess(self, gamma, m) + offset
+        return guess(fam, gamma, m) + offset
 
-    monkeypatch.setattr(ReductionCache, "guess", off)
+    monkeypatch.setattr(reduction, "_guess", off)
     assert [unit_reduce(fam1, gamma) for gamma in gammas] == expected
     assert len(calls) == len(gammas)
     assert expected == [reference_unit_reduce(fam1, gamma) for gamma in gammas]
@@ -196,8 +197,8 @@ def test_exact_tie_takes_the_smaller_index(fam1, monkeypatch, h):
     half = ri_log(fam.epsilon.real_embedding(Fraction(1, 1 << 200)), 200) / 2
     decs = [unit_reduce(fam, gamma)]
     for guess in (h, h + 1):  # dev = +R/2 keeps h; dev = -R/2 moves down to h
-        monkeypatch.setattr(ReductionCache, "guess",
-                            lambda self, g, m, guess=guess: guess)
+        monkeypatch.setattr(reduction, "_guess",
+                            lambda fam, g, m, guess=guess: guess)
         decs.append(unit_reduce(fam, gamma))
     for dec in decs:
         assert dec.ell == h

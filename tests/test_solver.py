@@ -6,6 +6,8 @@ from dataclasses import replace
 import mpmath
 import pytest
 
+from cubicthue import solver
+from cubicthue.errors import PrecisionExhausted
 from cubicthue.family import BinaryCubicForm, family_from_json, form_at
 from cubicthue.solver import (
     SearchSpec,
@@ -92,6 +94,26 @@ def test_solve_box_equals_oracle(fam1, fam2, fam3):
         oracle = record_keys(brute_force_oracle(fam, SMALL,
                                                 with_decomposition=False))
         assert pruned == oracle
+
+
+def test_stripe_failure_falls_back_to_the_oracle(fam1, monkeypatch):
+    # an index whose stripe anchors exhaust precision is enumerated by the
+    # oracle instead, and the box still holds every solution
+    spec = SearchSpec(k=100, n_lo=-3, n_hi=3, y_max=500)
+    failing = fam1.beta(1)
+    stripe_data, failed = solver._stripe_data, []
+
+    def exhausted_at_one_index(beta, spec):
+        if beta == failing:
+            failed.append(beta)
+            raise PrecisionExhausted("anchors did not separate")
+        return stripe_data(beta, spec)
+
+    monkeypatch.setattr(solver, "_stripe_data", exhausted_at_one_index)
+    records = solve_box(fam1, spec, with_decomposition=False)
+    assert len(failed) == 1 and any(r.n == 1 for r in records)
+    assert record_keys(records) == record_keys(
+        brute_force_oracle(fam1, spec, with_decomposition=False))
 
 
 def test_solve_box_records_verify_exactly(fam1):

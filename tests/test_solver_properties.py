@@ -26,7 +26,7 @@ from cubicthue.family import (
     make_family,
 )
 from cubicthue.heights import regulator
-from cubicthue.reduction import ReductionCache, unit_reduce
+from cubicthue.reduction import unit_reduce
 from cubicthue.solver import (
     SearchSpec,
     _lane_bound,
@@ -224,10 +224,9 @@ _EPS1 = tuple(int(c) for c in _D1.epsilon.coords)
            min_size=1, max_size=3))
 @example(fam=TIE_FAMILY, gammas=[(_EPS1, 1), (_EPS1, -2)])
 def test_unit_reduce_matches_reference(fam, gammas):
-    cache = ReductionCache(fam)  # shared, as by the reductions of one solve
-    for coords, h in gammas:
+    for coords, h in gammas:  # the reductions share the family's memo
         gamma = fam.field.element(*coords) * fam.epsilon ** h
-        dec = unit_reduce(fam, gamma, cache=cache)
+        dec = unit_reduce(fam, gamma)
         ref = reference_unit_reduce(fam, gamma)
         assert (dec.ell, dec.xi, dec.norm_abs) == (ref.ell, ref.xi,
                                                    ref.norm_abs)

@@ -1,5 +1,6 @@
 """Trace of the vanishing three-term identity and the logarithm machinery."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 from cubicthue import tracer
 from cubicthue.cubicfield import DEFAULT_PRECISION, FieldElement
 from cubicthue.errors import AmbiguousOrdering, NotThirdCase
-from cubicthue.family import example_family, form_at
+from cubicthue.family import example_family, family_to_json, form_at
+from cubicthue.heights import regulator
 from cubicthue.intervals import RI
 from cubicthue.reduction import Decomposition, decompose_solution, unit_reduce
 from cubicthue.solver import SearchSpec, solve_box
@@ -319,3 +321,33 @@ def test_stages_embed_each_element_once_per_precision(monkeypatch):
         cases.add(cert["case"])
         assert len(widths) <= 4 * len(set(widths)), (r, widths)
     assert CASE_T2T3 in cases and len(cases) == 3
+
+
+def test_family_memo_is_shared_and_invisible(monkeypatch):
+    # a family warmed by solve_box and a certificate equals a fresh one, a
+    # second certificate reads epsilon and alpha from the family's memo, and
+    # a family made by replace starts without the memo of the old one
+    fam, fresh = example_family(1), example_family(1)
+    records = solve_box(fam, SearchSpec(k=100, n_lo=-10, n_hi=10,
+                                        y_max=20000))
+    for r in records:
+        cert = trace_certificate(fam, r.n, r.x, r.y, 100)
+        if cert["case"] == CASE_T2T3:
+            break
+    assert fam._memo and fam == fresh and hash(fam) == hash(fresh)
+    assert (repr(fam), family_to_json(fam)) == (repr(fresh),
+                                                family_to_json(fresh))
+    embedded = []
+    embed = FieldElement.embed
+
+    def counted_embed(self, precision=DEFAULT_PRECISION):
+        embedded.append(self)
+        return embed(self, precision)
+
+    monkeypatch.setattr(FieldElement, "embed", counted_embed)
+    assert trace_certificate(fam, r.n, r.x, r.y, 100) == cert
+    assert embedded and fam.epsilon not in embedded
+    assert fam.alpha not in embedded
+    square = dataclasses.replace(fam, epsilon=fam.epsilon ** 2)
+    assert not square._memo
+    assert regulator(square).overlaps(2 * regulator(fam))
