@@ -23,7 +23,8 @@ which follow from the symmetric functions of the roots.
 
 A minimal exact model of the degree-6 splitting field (`SplittingAlgebra`)
 supports heights and rationality tests for quantities that mix two distinct
-embeddings, such as products of conjugates from different complex places.
+embeddings, such as products of conjugates from different complex places;
+their minimal polynomials come from their orbits under the Galois group.
 """
 
 from __future__ import annotations
@@ -435,9 +436,6 @@ class SplitElement:
     u: FieldElement
     v: FieldElement
 
-    def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
-
     def __add__(self, other: "SplitElement") -> "SplitElement":
         return SplitElement(self.alg, self.u + other.u, self.v + other.v)
 
@@ -462,17 +460,16 @@ class SplitElement:
     def __hash__(self) -> int:
         return hash((self.u, self.v))
 
-    def coords6(self) -> tuple[Fraction, ...]:
-        return self.u.coords + self.v.coords
-
 
 class SplittingAlgebra:
     """Degree-6 splitting field of the defining cubic, as K[y]/(q).
 
     With f(X) = (X - g) * (X^2 + s1 X + s2) over K, the quotient by
     q(y) = y^2 + s1 y + s2 is the Galois closure; y plays the role of the
-    complex root g' and -a1 - g - y the role of its conjugate.
-    """
+    complex root g' and tau(y) = -a1 - g - y the role of its conjugate.
+    The six automorphisms send (g, y) to (g, y), (g, tau y), (y, g),
+    (y, tau y), (tau y, g) and (tau y, y); a minimal polynomial is the
+    product of X - w over the distinct images w of an element."""
 
     def __init__(self, field: CubicField):
         self.field = field
@@ -509,18 +506,30 @@ class SplittingAlgebra:
         """Exact test: is the complex value of z under (g, g') real?"""
         return z == self.tau(z)
 
+    def is_imaginary_value(self, z: SplitElement) -> bool:
+        """Exact test: tau(z) = -z, i.e. z's value under (g, g') is imaginary."""
+        return self.tau(z) == -z
+
+    def conjugates(self, z: SplitElement) -> list[SplitElement]:
+        """The images of z = u + v y under the six automorphisms, in the
+        order of `embeddings`: u and v go by `from_k`, `sigma` or
+        `sigma_bar`, y to the second root of the pair."""
+        y = SplitElement(self, self.field.zero(), self.field.one())
+        roots = ((self.from_k, self.from_k(self.field.gen())),
+                 (self.sigma, y), (self.sigma_bar, self.tau(y)))
+        return [image(z.u) + image(z.v) * root
+                for i, (image, _) in enumerate(roots)
+                for j, (_, root) in enumerate(roots) if i != j]
+
     def min_poly(self, z: SplitElement) -> tuple[Fraction, ...]:
-        """Monic minimal polynomial of z over Q (degree dividing 6)."""
-        powers = [self.one().coords6()]
-        cur = self.one()
-        for _ in range(6):
-            cur = cur * z
-            powers.append(cur.coords6())
-        for d in range(1, 7):
-            sol = _solve_exact([list(p) for p in powers[:d]], list(powers[d]))
-            if sol is not None:
-                return (Fraction(1),) + tuple(-sol[i] for i in reversed(range(d)))
-        raise RuntimeError("element of degree > 6 in a degree-6 algebra")
+        """Monic minimal polynomial of z over Q: the product of X - w over
+        the distinct conjugates w of z, fixed by every automorphism."""
+        zero = SplitElement(self, self.field.zero(), self.field.zero())
+        poly = [self.one()]  # highest degree first
+        for w in dict.fromkeys(self.conjugates(z)):
+            poly = [a - w * b for a, b in zip(poly + [zero], [zero] + poly)]
+        assert all(c.v.is_zero() and c.u.is_rational() for c in poly)
+        return tuple(c.u.c0 for c in poly)
 
     def embeddings(self, z: SplitElement, bits: int) -> list[CBox]:
         """The six complex values of z, as certified boxes."""
@@ -531,33 +540,3 @@ class SplittingAlgebra:
         return [z.u._at(gi) + z.v._at(gi) * gj
                 for gi, gj in ((g1, g2), (g1, g3), (g2, g1), (g2, g3),
                                (g3, g1), (g3, g2))]
-
-
-def _solve_exact(cols: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve sum_i x_i * cols[i] = rhs exactly; None if inconsistent."""
-    n = len(rhs)
-    k = len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [rhs[i]] for i in range(n)]
-    piv_rows = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [a * inv for a in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        piv_rows.append(col)
-        row += 1
-    # consistency: zero rows must have zero rhs
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(piv_rows):
-        sol[col] = aug[r][k]
-    return sol

@@ -281,5 +281,9 @@ def family_from_json(text: str) -> FormFamily:
     def parse(coords: Sequence[str]) -> FieldElement:
         return field.element(*(Fraction(c) for c in coords))
 
-    return make_family(field, parse(record["alpha"]), parse(record["epsilon"]),
-                       D=record.get("D"))
+    fam = make_family(field, parse(record["alpha"]), parse(record["epsilon"]),
+                      D=record.get("D"))
+    # verify's D-only checks run on example_family(D), so D must name fam
+    if fam.D is not None and fam != example_family(fam.D):
+        raise InvalidParameter(f"the family is not example_family({fam.D})")
+    return fam

@@ -27,7 +27,6 @@ rounded outward, so every returned interval is a true enclosure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar, Union

@@ -28,13 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubicfield import (
-    DEFAULT_BITS,
-    DEFAULT_PRECISION,
-    FieldElement,
-    SplitElement,
-    SplittingAlgebra,
-)
+from .cubicfield import DEFAULT_BITS, DEFAULT_PRECISION, FieldElement
 from .errors import (
     AmbiguousOrdering,
     InvalidParameter,
@@ -49,7 +43,6 @@ from .intervals import (
     CBox,
     RI,
     refine,
-    ri_exp,
     ri_log,
     ri_pi,
     ri_sin,
@@ -125,11 +118,21 @@ class LambdaData:
 
 class Images:
     """Real (`xi_r`) and complex (`xi_c`) images of xi at one working
-    precision, with |xi'|; those of epsilon and alpha are the family's."""
+    precision, |xi'| and `top` = k^kappa9; epsilon's and alpha's are the
+    family's."""
 
     def __init__(self, xi: FieldElement, bits: int):
         self.xi_r, self.xi_c = xi.embed(Fraction(1, 1 << bits))
         self.abs_xi_c = self.xi_c.abs(bits)
+        self._top: RI | None = None
+
+    @property
+    def top(self) -> RI:
+        """max{house(xi), 1/|xi|, 1/|xi'|}, made on first use."""
+        if self._top is None:
+            a, b = abs(self.xi_r), self.abs_xi_c
+            self._top = a.max_with(b).max_with(a.recip()).max_with(b.recip())
+        return self._top
 
 
 class SolutionImages:
@@ -149,13 +152,10 @@ class SolutionImages:
         return self._levels[bits]
 
     def house(self, k: int, bits: int) -> tuple[RI, RI]:
-        """(log k, kappa9_emp) with kappa9_emp = log(max{house(xi), 1/|xi|,
-        1/|xi'|}) / log k, bounded over a sweep when the reduction works."""
+        """(log k, kappa9_emp), kappa9_emp = log(top) / log k, so k^kappa9_emp
+        is `Images.top` at `bits`; bounded over a sweep when reduction works."""
         if (k, bits) not in self._house:
-            im = self.at(bits)
-            a, b = abs(im.xi_r), im.abs_xi_c
-            top = a.max_with(b).max_with(a.recip()).max_with(b.recip())
-            log_k = ri_log(RI.point(k), bits)
+            top, log_k = self.at(bits).top, ri_log(RI.point(k), bits)
             self._house[k, bits] = log_k, ri_log(top, bits) / log_k
         return self._house[k, bits]
 
@@ -353,8 +353,8 @@ def inequality_ledger(images: SolutionImages, x: int, y: int, k: int,
     eps_r, half_power = fim.eps_r, fim.half_power
     abs_alpha, abs_alpha_c = abs(fim.alpha_r), fim.abs_alpha_c
     abs_xi, abs_xi_c = abs(im.xi_r), im.abs_xi_c
-    log_k, kappa9 = images.house(k, bits)
-    k_pow_kappa9 = ri_exp(kappa9 * log_k, bits)
+    log_k, _ = images.house(k, bits)
+    k_pow_kappa9 = im.top
 
     rows: list[LedgerRow] = []
     if n < 0:
@@ -455,18 +455,13 @@ def inequality_ledger(images: SolutionImages, x: int, y: int, k: int,
 # -- linear form in logarithms -------------------------------------------------------
 
 
-def _angle01(box: CBox, bits: int, z_sq: SplitElement | None,
-             alg: SplittingAlgebra | None) -> RI | None:
-    """Argument divided by 2 pi, representative in [0, 1).
+def _angle01(box: CBox, bits: int, imaginary: bool) -> RI | None:
+    """Argument divided by 2 pi, representative in [0, 1), of conj(z)/z.
 
-    For a box straddling the negative real axis, an exact test on the square
-    of the underlying algebraic value settles whether the angle is exactly
-    1/2 (a real square together with a negative box means the value is
-    purely imaginary, so the ratio conj(z)/z is exactly -1)."""
+    On a box straddling the negative real axis it is exactly 1/2 when z is
+    purely imaginary (conj(z)/z = -1), and undecided otherwise."""
     if box.im.contains_zero() and box.re.is_negative():
-        if z_sq is not None and alg is not None and alg.is_real_value(z_sq):
-            return RI.point(Fraction(1, 2))
-        return None
+        return RI.point(Fraction(1, 2)) if imaginary else None
     a = _angle_mod_2pi(box, bits)
     if a is None:
         return None
@@ -496,10 +491,9 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
     alg = fam.algebra()
     mu_split = alg.sigma(dec.xi) * (alg.sigma_bar(beta) - alg.from_k(beta))
     w_split = mu_split * alg.sigma(fam.unit_power(ell))
-    # squares decide branch-cut ties exactly: z^2 real and the box on the
-    # negative axis together pin conj(z)/z = -1
-    mu_sq = None if mu_split.is_zero() else mu_split * mu_split
-    w_sq = None if w_split.is_zero() else w_split * w_split
+    # branch-cut ties: conj(z)/z = -1 exactly when z is purely imaginary
+    mu_imaginary = alg.is_imaginary_value(mu_split)
+    w_imaginary = alg.is_imaginary_value(w_split)
 
     def step(bits: int):
         im, fim = images.at(bits), fam.at(bits)
@@ -512,9 +506,9 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
             return None
         q = w.conj() / w
         q1 = eps_c.conj() / eps_c
-        nu = _angle01(q1, bits, None, None)
-        theta_n = _angle01(mu.conj() / mu, bits, mu_sq, alg)
-        lam_arg = _principal_arg(q, bits, w_sq, alg)
+        nu = _angle01(q1, bits, False)
+        theta_n = _angle01(mu.conj() / mu, bits, mu_imaginary)
+        lam_arg = _principal_arg(q, bits, w_imaginary)
         if nu is None or theta_n is None or lam_arg is None:
             return None
         two_pi = 2 * ri_pi(bits)
@@ -552,8 +546,7 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
     # quantitative smallness row with its tight constant
     scale = fim.half_power(-(n + 3 * abs(ell)))
     if k is not None and k >= 2:
-        log_k, kappa9 = images.house(k, bits)
-        scale = scale * ri_exp(kappa9 * log_k, bits)
+        scale = scale * images.at(bits).top
     row20 = LedgerRow(
         "20", "smallness of the unit-equation ratio", abs_q1,
         "c * eps^(-(n + 3|l|)/2) * k^kappa9", None,
@@ -567,18 +560,14 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
                       (row20,))
 
 
-def _principal_arg(box: CBox, bits: int, z_sq: SplitElement | None,
-                   alg: SplittingAlgebra | None) -> RI | None:
+def _principal_arg(box: CBox, bits: int, imaginary: bool) -> RI | None:
     """Principal argument of the ratio conj(z)/z from an enclosure of it.
 
-    When the enclosure straddles the branch cut, an exact real test on z^2
-    settles whether the ratio is exactly -1, in which case the principal
-    argument is pi."""
+    On a box straddling the branch cut it is pi when z is purely imaginary
+    (conj(z)/z = -1), and undecided otherwise."""
     if not (box.im.contains_zero() and box.re.is_negative()):
         return box.arg(bits)
-    if z_sq is not None and alg is not None and alg.is_real_value(z_sq):
-        return ri_pi(bits)
-    return None
+    return ri_pi(bits) if imaginary else None
 
 
 # -- certificates ------------------------------------------------------------------

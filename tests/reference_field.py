@@ -7,6 +7,11 @@ a2 g - a3, the characteristic polynomial from the multiplication matrix, the
 inverse from Cayley-Hamilton, and embeddings by Horner's rule with the
 coordinates' common denominator cleared.  The property tests compare the two
 on random fields and random rational elements.
+
+`reference_min_poly` is the minimal polynomial in the splitting algebra by
+Gauss-Jordan elimination on `Fraction`s over the powers of the element, the
+route `SplittingAlgebra.min_poly` took before it multiplied out the Galois
+orbit.
 """
 
 from __future__ import annotations
@@ -138,3 +143,52 @@ def reference_embed(field, x: RefElement, precision: Fraction):
         return None
 
     return refine(step, bits_for_width(precision), "reference embedding stalled")
+
+
+def reference_min_poly(alg, z) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of z in a `SplittingAlgebra`, by exact
+    elimination: the first power z^d that is a rational combination of
+    1, z, ..., z^(d-1) in the six coordinates (u, v) of K[y]/(q)."""
+    def coords6(e):
+        return e.u.coords + e.v.coords
+
+    powers = [coords6(alg.one())]
+    cur = alg.one()
+    for _ in range(6):
+        cur = cur * z
+        powers.append(coords6(cur))
+    for d in range(1, 7):
+        sol = _solve_exact([list(p) for p in powers[:d]], list(powers[d]))
+        if sol is not None:
+            return (Fraction(1),) + tuple(-sol[i] for i in reversed(range(d)))
+    raise RuntimeError("element of degree > 6 in a degree-6 algebra")
+
+
+def _solve_exact(cols: list[list[Fraction]], rhs: list[Fraction]):
+    """Solve sum_i x_i * cols[i] = rhs exactly; None if inconsistent."""
+    n = len(rhs)
+    k = len(cols)
+    aug = [[cols[j][i] for j in range(k)] + [rhs[i]] for i in range(n)]
+    piv_rows = []
+    row = 0
+    for col in range(k):
+        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [a * inv for a in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        piv_rows.append(col)
+        row += 1
+    # consistency: zero rows must have zero rhs
+    for r in range(row, n):
+        if aug[r][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for r, col in enumerate(piv_rows):
+        sol[col] = aug[r][k]
+    return sol

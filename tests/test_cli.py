@@ -424,6 +424,22 @@ def test_family_file_with_original_a0_rejected(tmp_path, capsys):
     assert "verification setup failed" in err
 
 
+def test_family_file_with_wrong_d_rejected(tmp_path, capsys):
+    # verify's D-only checks run on example_family(D), so a record of the
+    # D=2 family labelled D=1 would pass them on the wrong family
+    record = json.loads(family_to_json(example_family(2)))
+    record["D"] = 1
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+    assert (code, out) == (5, "")
+    assert "verification setup failed" in err
+    code, out, err = run_cli(capsys, "solve", "--family-file", str(path),
+                             "--n", "0..0", "--k", "2", "--y-max", "5")
+    assert (code, out) == (2, "")
+    assert "example_family(1)" in err
+
+
 def test_import_leaves_sympy_unloaded():
     # sympy is a test dependency only (the reference Mahler measure in
     # tests/reference_heights.py): every command runs with it blocked

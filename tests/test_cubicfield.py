@@ -21,7 +21,7 @@ from cubicthue.errors import (
     ReduciblePolynomial,
     TotallyReal,
 )
-from reference_field import RefElement, reference_embed
+from reference_field import RefElement, reference_embed, reference_min_poly
 
 P12 = Fraction(1, 10**12)
 P30 = Fraction(1, 10**30)
@@ -376,3 +376,32 @@ def test_element_accepts_unreduced_fractions():
     assert (half.n0, half.n1, half.n2, half.d) == (1, 0, 0, 2)
     assert half + half == field.one() and (half + half).d == 1
     assert field.element(1, 2, 3).d == 1
+
+
+# -- minimal polynomials from the Galois orbit, against exact elimination -------
+
+_D1_FIELD = make_field((1, 3, 3, -1))  # the field of example_family(1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(field=_random_fields(), uc=_coords, vc=_coords)
+@example(field=_D1_FIELD, uc=(Fraction(3, 2), 0, 0), vc=(0, 0, 0))
+# (g - y)(g - tau y)(y - tau y), whose square is the discriminant -108
+@example(field=_D1_FIELD, uc=(12, 12, 6), vc=(6, 12, 6))
+# sigma(epsilon), of degree 3: its orbit repeats every conjugate twice
+@example(field=_D1_FIELD, uc=(0, -3, -1), vc=(0, -1, 0))
+# mu of the third-case solution (n, x, y) = (-3, -5, -74), of degree 6
+@example(field=_D1_FIELD, uc=(-24, -17, -1), vc=(-7, 1, 0))
+def test_min_poly_from_orbit_matches_elimination(field, uc, vc):
+    alg = SplittingAlgebra(field)
+    y = alg.sigma(field.gen())
+    z = alg.from_k(field.element(*uc)) + alg.from_k(field.element(*vc)) * y
+    mp = alg.min_poly(z)
+    assert mp == reference_min_poly(alg, z)
+    assert all(type(c) is Fraction for c in mp)
+    # conjugate i under the first embedding is z under embedding i
+    conjugates = alg.conjugates(z)
+    assert len(conjugates) == 6
+    for w, box in zip(conjugates, alg.embeddings(z, 96)):
+        image = alg.embeddings(w, 96)[0]
+        assert image.re.overlaps(box.re) and image.im.overlaps(box.im)

@@ -13,7 +13,7 @@ from cubicthue.cubicfield import DEFAULT_PRECISION, FieldElement
 from cubicthue.errors import AmbiguousOrdering, NotThirdCase
 from cubicthue.family import example_family, family_to_json, form_at
 from cubicthue.heights import regulator
-from cubicthue.intervals import RI
+from cubicthue.intervals import CBox, RI, ri_pi
 from cubicthue.reduction import Decomposition, decompose_solution, unit_reduce
 from cubicthue.solver import SearchSpec, solve_box
 from cubicthue.tracer import (
@@ -226,6 +226,31 @@ def test_lemma3b_inequality_direct(fam1):
         lam_mid = mpmath.mpc(float(lam.Lambda.re.mid), float(lam.Lambda.im.mid))
         direct = abs(mpmath.exp(lam_mid) - 1)
         assert direct >= abs(lam_mid) / 2 - 1e-25
+
+
+def test_branch_cut_ties_are_decided_by_tau(fam1):
+    # conj(z)/z is exactly -1 when z is purely imaginary, tau(z) = -z
+    alg = fam1.algebra()
+    y = alg.sigma(fam1.field.gen())
+    diff, total = y - alg.tau(y), y + alg.tau(y)  # g' - g'', g' + g''
+    assert alg.is_imaginary_value(diff) and not alg.is_real_value(diff)
+    assert alg.is_real_value(total) and not alg.is_imaginary_value(total)
+    # a box around -1 that straddles the real axis, as an enclosure of
+    # conj(z)/z sees it
+    box = CBox(RI.dyadic(-1025, -1023, -10), RI.dyadic(-1, 1, -10))
+    for z, tie in ((diff, True), (total, False)):
+        imaginary = alg.is_imaginary_value(z)
+        angle = tracer._angle01(box, 64, imaginary)
+        arg = tracer._principal_arg(box, 64, imaginary)
+        if not tie:
+            assert angle is None and arg is None
+            continue
+        assert (angle.lo, angle.hi) == (Fraction(1, 2), Fraction(1, 2))
+        assert arg == ri_pi(64) and arg.width < Fraction(1, 2**60)
+        with mpmath.workdps(60):
+            assert (mpmath.mpf(arg.lo.numerator) / arg.lo.denominator
+                    < mpmath.pi
+                    < mpmath.mpf(arg.hi.numerator) / arg.hi.denominator)
 
 
 def test_mu_height_growth(fam1):
