@@ -32,8 +32,8 @@ At n = m + j, sin(delta1 + n delta2) is the imaginary part of the product
 of giant m's disk g and baby j's disk b: S = g_c b_s + g_s b_c on the grid
 2^-2p, within E = (r_g + r_b) 2^p + r_g r_b + 1 units by the same bound.
 An index is skipped exactly when |S| <= E.  The scan works on integers on
-one grid, p = `bits` + `DISK_GUARD_BITS`, and calls the bridge six times
-and once more per certified log.
+one grid, p = `DEFAULT_BITS` + `DISK_GUARD_BITS`, and calls the bridge six
+times and once more per certified log.
 
 The exponent an index needs comes from a certified log of its sine's lower
 end, (|S| - E) 2^-2p.  A float estimate of that exponent decides first:
@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cubicfield import DEFAULT_PRECISION
+from .cubicfield import DEFAULT_BITS
 from .errors import DegenerateAngle, InvalidParameter
-from .intervals import RI, bits_for_width, ri_cos, ri_log, ri_sin
+from .intervals import RI, ri_cos, ri_log, ri_sin
 
 # Bits of the disk grid below the working precision.  Besides the angles' own
 # widths, a rotation adds a few units of 2^-p to a radius, so the about
@@ -129,8 +128,7 @@ def unit_disks(delta1: RI, delta2: RI, n_max: int,
     return baby, giant
 
 
-def calibrate_c2(delta1: RI, delta2: RI, n_max: int,
-                 precision=DEFAULT_PRECISION) -> CalibrationResult:
+def calibrate_c2(delta1: RI, delta2: RI, n_max: int) -> CalibrationResult:
     """Smallest exponent making the sine bound hold for 0 < |n| <= n_max.
 
     Each sine is the imaginary part of a product of a giant disk and a
@@ -139,14 +137,13 @@ def calibrate_c2(delta1: RI, delta2: RI, n_max: int,
     only where a float estimate says it may raise the running maximum.  An
     index whose sine enclosure reaches zero, |S| <= E, cannot be certified
     nonzero at this precision (it may lie in Z*pi) and is skipped and
-    reported.  At any precision the returned exponent makes
-    |sin| >= (|n| + 2)^-c2 hold at every certified index, because an index
-    the estimate passes over needs less than the maximum by a relative
-    margin far above float error."""
+    reported.  The scan works at `DEFAULT_BITS`.  At any precision the
+    returned exponent makes |sin| >= (|n| + 2)^-c2 hold at every certified
+    index, because an index the estimate passes over needs less than the
+    maximum by a relative margin far above float error."""
     if n_max < 1:
         raise InvalidParameter("n_max must be >= 1")
-    bits = bits_for_width(Fraction(precision))
-    p = bits + DISK_GUARD_BITS
+    p = DEFAULT_BITS + DISK_GUARD_BITS
     baby, giant = unit_disks(delta1, delta2, n_max, p)
     step = len(baby)
     unit2 = 1 << 2 * p
@@ -173,7 +170,7 @@ def calibrate_c2(delta1: RI, delta2: RI, n_max: int,
             # exponent needed at this n, from the certified lower sine bound;
             # the .lo endpoint makes the quotient an upper bound
             sine = RI.dyadic(s - e, s + e, -2 * p)
-            need = float(ri_log(sine, bits).lo) / -log_n
+            need = float(ri_log(sine, DEFAULT_BITS).lo) / -log_n
             if need > best:
                 best = need
                 worst_n = n

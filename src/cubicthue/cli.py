@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import errors
 from .bounds import calibrate_c2
+from .cubicfield import DEFAULT_BITS
 from .family import (
     FormFamily,
     coefficient_sequence,
@@ -33,8 +34,8 @@ from .family import (
     swap_identity_check,
 )
 from .heights import abs_log_height, check_fundamental, regulator
-from .intervals import bits_for_width, ri_log, ri_sin, ri_sqrt
-from .reduction import unit_reduce
+from .intervals import ri_log, ri_sin, ri_sqrt
+from .reduction import decompose_solution, unit_reduce
 from .solver import (
     SearchSpec,
     brute_force_oracle,
@@ -112,6 +113,11 @@ def cmd_solve(args) -> int:
         records = brute_force_oracle(fam, spec, naive=args.naive)
     else:
         records = solve_box(fam, spec)
+    # the solvers only enumerate; each row with xy != 0 at a non-degenerate
+    # index is written as epsilon^ell xi here
+    records = [replace(r, decomposition=decompose_solution(
+                   fam, r.n, r.x, r.y, value=r.value))
+               if r.x and r.y and not r.degenerate else r for r in records]
     if args.output == "json":
         print(json.dumps({"schema": 1, "k": spec.k, "n_lo": n_lo,
                           "n_hi": n_hi, "y_max": spec.y_max}))
@@ -135,11 +141,17 @@ def _verify_checks(fam: FormFamily, deep: bool):
     """Yield (name, passed, detail) for the cross-module identity suite.
 
     `passed` is None for an informational line, which cannot fail."""
-    tight = Fraction(1, 10**20)
-    reg = regulator(fam, tight)
+    reg = regulator(fam)
 
-    ok = all(swap_identity_check(fam, n)[0] for n in range(-10, 11))
-    yield "swap_identity", ok, "F_(-n)(X,Y) = -F_(n-2)(Y,X) on [-10, 10]"
+    # -F_(n-2)(Y, X) = N(eps)^n N(alpha) N(X - eps^(2-n) alpha^-1 Y) is
+    # F_(-n)(X, Y) for every n exactly when alpha = eps and N(eps) = 1
+    if fam.alpha == fam.epsilon and fam.epsilon.norm() == 1:
+        ok = all(swap_identity_check(fam, n)[0] for n in range(-10, 11))
+        yield "swap_identity", ok, "F_(-n)(X,Y) = -F_(n-2)(Y,X) on [-10, 10]"
+    else:
+        yield "swap_identity", None, (
+            "F_(-n)(X,Y) = -F_(n-2)(Y,X) does not apply: it needs "
+            "alpha = epsilon and N(epsilon) = 1")
 
     if fam.D is not None:
         seq = coefficient_sequence(fam.D, -10, 10)
@@ -156,16 +168,14 @@ def _verify_checks(fam: FormFamily, deep: bool):
                + ("; passes by construction on D in {0, +-1}" if trivial
                   else ""))
 
-    h = abs_log_height(fam.epsilon, tight).height
+    h = abs_log_height(fam.epsilon).height
     diff = h - reg / 3
     ok = abs(diff).hi <= Fraction(1, 10**12)
     yield "height_equals_regulator_third", ok, f"|h - R/3| <= {float(abs(diff).hi):.2e}"
 
-    prec = Fraction(1, 10**25)
-    real, cplx = fam.epsilon.embed(prec)
-    bits = bits_for_width(prec)
-    lhs = cplx.abs(bits)
-    rhs = ri_sqrt(real, bits).recip()
+    images = fam.at(DEFAULT_BITS)
+    lhs = images.eps_c.abs(DEFAULT_BITS)
+    rhs = ri_sqrt(images.eps_r, DEFAULT_BITS).recip()
     ok = lhs.overlaps(rhs) and (lhs.width + rhs.width) <= Fraction(1, 10**20)
     yield "conjugate_modulus", ok, "|eps'| = eps^(-1/2) within 1e-20"
 
@@ -185,18 +195,15 @@ def _verify_checks(fam: FormFamily, deep: bool):
 
     y_max = 1000 if deep else 30
     spec = SearchSpec(k=5, n_lo=-3, n_hi=3, y_max=y_max)
-    pruned = record_keys(solve_box(fam, spec, with_decomposition=False))
-    oracle = record_keys(brute_force_oracle(fam, spec,
-                                            with_decomposition=False))
+    pruned = record_keys(solve_box(fam, spec))
+    oracle = record_keys(brute_force_oracle(fam, spec))
     yield "solver_equivalence", pruned == oracle, (
         f"{len(pruned)} solutions, y_max = {y_max}")
     if not deep:
         sub, cells = _naive_sub_box(fam, spec)
-        naive = record_keys(brute_force_oracle(fam, sub, naive=True,
-                                               with_decomposition=False))
+        naive = record_keys(brute_force_oracle(fam, sub, naive=True))
         if sub != spec:
-            oracle = record_keys(brute_force_oracle(fam, sub,
-                                                    with_decomposition=False))
+            oracle = record_keys(brute_force_oracle(fam, sub))
         over = (f", over the {NAIVE_CELL_BUDGET}-cell budget"
                 if cells > NAIVE_CELL_BUDGET else "")
         yield "naive_oracle_equivalence", naive == oracle, (
@@ -208,14 +215,14 @@ def _verify_checks(fam: FormFamily, deep: bool):
 
     if deep:
         delta, theta = family_angles(fam)
-        cal = calibrate_c2(delta, theta, 10**4, prec)
+        cal = calibrate_c2(delta, theta, 10**4)
         # the exponent needed at worst_n again, from a direct sine of
         # delta + n theta: c2 must cover it and exceed it only by its margin
         n = cal.worst_n
-        s = abs(ri_sin(delta + n * theta, bits))
+        s = abs(ri_sin(delta + n * theta, DEFAULT_BITS))
         ok = s.is_positive()
         if ok:
-            need = float(ri_log(s, bits).lo) / -math.log(abs(n) + 2)
+            need = float(ri_log(s, DEFAULT_BITS).lo) / -math.log(abs(n) + 2)
             ok = need <= cal.c2 <= need * (1 + 1e-9) + 1e-14
         yield ("sine_calibration", ok,
                f"c2 = {cal.c2:.6f}, skipped = {len(cal.skipped)}")

@@ -421,9 +421,6 @@ class FieldElement:
         return refine(step, bits_for_width(target),
                       "embedding refinement stalled")
 
-    def real_embedding(self, precision=DEFAULT_PRECISION) -> RI:
-        return self.embed(precision)[0]
-
 
 # -- splitting field -----------------------------------------------------------
 

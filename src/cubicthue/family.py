@@ -27,7 +27,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .cubicfield import (
     CubicField,
@@ -83,12 +82,13 @@ class FormFamily:
 
     The family is also the context that solving, tracing and verifying
     share: every member has the same epsilon and alpha, so their enclosures
-    per working precision (`at`), the powers of epsilon (`unit_power`) and
-    the splitting algebra (`algebra`) are made on first use and memoised on
-    the family, as `CubicField.complex_root` memoises root boxes.  Each
-    value depends on (epsilon, alpha, bits) alone, so the memo changes no
-    result.  It takes no part in `==`, `hash` or the repr, and
-    `dataclasses.replace` gives the new family an empty one."""
+    per working precision (`at`), the roots beta_n = epsilon^n alpha
+    (`beta`), the powers of epsilon (`unit_power`) and the splitting algebra
+    (`algebra`) are made on first use and memoised on the family, as
+    `CubicField.complex_root` memoises root boxes.  Each value depends on
+    (epsilon, alpha, n, bits) alone, so the memo changes no result.  It
+    takes no part in `==`, `hash` or the repr, and `dataclasses.replace`
+    gives the new family an empty one."""
 
     field: CubicField
     alpha: FieldElement
@@ -99,7 +99,8 @@ class FormFamily:
 
     def beta(self, n: int) -> FieldElement:
         """epsilon^n * alpha, the real root of the n-th form."""
-        return (self.epsilon ** n) * self.alpha
+        return self._memoised(("beta", n),
+                              lambda: self.unit_power(n) * self.alpha)
 
     def is_degenerate_index(self, n: int) -> bool:
         """True when epsilon^n * alpha is rational and the form degenerates."""
@@ -159,7 +160,7 @@ def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
         raise NotAUnit(f"epsilon has norm {epsilon.norm()}")
 
     def exceeds_one(bits: int) -> bool | None:
-        real = epsilon.real_embedding(Fraction(1, 1 << bits))
+        real = epsilon.embed(Fraction(1, 1 << bits))[0]
         if real.hi <= 1:
             raise NotAUnit("epsilon is not > 1 in the real embedding")
         return True if real.lo > 1 else None
@@ -270,19 +271,32 @@ def family_to_json(fam: FormFamily) -> str:
 
 
 def family_from_json(text: str) -> FormFamily:
+    """The family of a `family_to_json` record; `InvalidParameter` for a
+    record that is not an object, lacks a key, or whose alpha or epsilon is
+    not a list of three rationals or whose min_poly is not a list."""
     record = json.loads(text)
+    if (not isinstance(record, dict)
+            or not {"min_poly", "alpha", "epsilon"} <= record.keys()):
+        raise InvalidParameter("a family record is an object with the keys "
+                               "min_poly, alpha and epsilon")
     if "original_a0" in record:
         # a record of a non-monic form's monic model: nothing maps solutions
         # of the model back, so solving it would answer another inequality
         raise InvalidParameter("non-monic families (original_a0) are not "
                                "supported")
-    field = make_field(tuple(record["min_poly"]))
 
-    def parse(coords: Sequence[str]) -> FieldElement:
+    def parse(key: str) -> FieldElement:
+        coords = record[key]
+        if not isinstance(coords, list) or len(coords) != 3:
+            raise InvalidParameter(f"{key} must list three coordinates")
         return field.element(*(Fraction(c) for c in coords))
 
-    fam = make_family(field, parse(record["alpha"]), parse(record["epsilon"]),
-                      D=record.get("D"))
+    try:
+        field = make_field(tuple(record["min_poly"]))
+        alpha, epsilon = parse("alpha"), parse("epsilon")
+    except (TypeError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"malformed family record: {exc}") from None
+    fam = make_family(field, alpha, epsilon, D=record.get("D"))
     # verify's D-only checks run on example_family(D), so D must name fam
     if fam.D is not None and fam != example_family(fam.D):
         raise InvalidParameter(f"the family is not example_family({fam.D})")

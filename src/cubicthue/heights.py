@@ -7,7 +7,7 @@ polynomial.  The root moduli are never isolated from the polynomial: they
 are the moduli of certified conjugate enclosures, the embeddings of a
 cubic-field element (`abs_log_height`) or of a splitting-field element
 (`height_from_conjugates`).  Enclosures are refined until the output meets
-the requested width, so every returned interval encloses the true value.
+`DEFAULT_PRECISION`, and every returned interval encloses the true value.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 from .cubicfield import DEFAULT_BITS, DEFAULT_PRECISION, FieldElement
 from .errors import ZeroElement
 from .family import FormFamily
-from .intervals import CBox, RI, bits_for_width, refine, ri_log, ri_root
+from .intervals import CBox, RI, refine, ri_log, ri_root
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,14 +44,12 @@ def to_int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
 
 
 def height_from_conjugates(lead: int, conjugates: Sequence[CBox], degree: int,
-                           precision=DEFAULT_PRECISION) -> HeightReport:
-    """Height from certified conjugate enclosures.
+                           bits: int) -> HeightReport:
+    """Height from certified conjugate enclosures, at working precision `bits`.
 
     `conjugates` lists every embedding of the ambient field, so each root of
     the degree-`degree` minimal polynomial appears len/degree times; the
     repetition is divided out through a root extraction."""
-    target = Fraction(precision)
-    bits = bits_for_width(target)
     mult = len(conjugates) // degree
     prod = RI.point(abs(lead)) if mult == 1 else RI.point(1)
     for box in conjugates:
@@ -62,7 +60,7 @@ def height_from_conjugates(lead: int, conjugates: Sequence[CBox], degree: int,
     return HeightReport(prod, height, degree)
 
 
-def abs_log_height(x: FieldElement, precision=DEFAULT_PRECISION) -> HeightReport:
+def abs_log_height(x: FieldElement) -> HeightReport:
     """Absolute logarithmic height of a cubic-field element."""
     if x.is_zero():
         raise ZeroElement("height of zero")
@@ -70,34 +68,31 @@ def abs_log_height(x: FieldElement, precision=DEFAULT_PRECISION) -> HeightReport
         if x.c0 in (1, -1):
             return HeightReport(RI.point(1), RI.point(0), 1)
         m = Fraction(max(abs(x.c0.numerator), x.c0.denominator))
-        bits = bits_for_width(Fraction(precision))
-        return HeightReport(RI.point(m), ri_log(RI.point(m), bits), 1)
+        return HeightReport(RI.point(m), ri_log(RI.point(m), DEFAULT_BITS), 1)
     # an irrational element of the cubic field has degree 3, and its three
     # conjugates are the real image and the complex pair
     lead = to_int_primitive(x.minimal_polynomial())[0]
-    target = Fraction(precision)
 
     def step(bits: int) -> HeightReport | None:
-        width = Fraction(1, 1 << bits)
-        real, cplx = x.embed(width)
+        real, cplx = x.embed(Fraction(1, 1 << bits))
         report = height_from_conjugates(
-            lead, (CBox.from_real(real), cplx, cplx.conj()), 3, width)
-        if report.height.width <= target and report.mahler.width <= target:
+            lead, (CBox.from_real(real), cplx, cplx.conj()), 3, bits)
+        if (report.height.width <= DEFAULT_PRECISION
+                and report.mahler.width <= DEFAULT_PRECISION):
             return report
         return None
 
-    return refine(step, bits_for_width(target), "height did not certify")
+    return refine(step, DEFAULT_BITS, "height did not certify")
 
 
-def regulator(fam: FormFamily, precision=DEFAULT_PRECISION) -> RI:
+def regulator(fam: FormFamily) -> RI:
     """Enclosure of log(epsilon) for the family unit epsilon > 1."""
-    target = Fraction(precision)
 
     def step(bits: int) -> RI | None:
         result = fam.at(bits).log_eps
-        return result if result.width <= target else None
+        return result if result.width <= DEFAULT_PRECISION else None
 
-    return refine(step, bits_for_width(target), "regulator did not certify")
+    return refine(step, DEFAULT_BITS, "regulator did not certify")
 
 
 @dataclass(frozen=True, slots=True)

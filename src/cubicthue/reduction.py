@@ -39,8 +39,6 @@ from .errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
 from .family import FormFamily, norm_form
 from .intervals import RI, refine, ri_log
 
-BALANCE_TOL = Fraction(1, 10**9)
-
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
@@ -149,16 +147,13 @@ def _certify_step(fam: FormFamily, gamma: FieldElement, ell: int,
 
 
 def decompose_solution(fam: FormFamily, n: int, x: int, y: int, *,
-                       beta: FieldElement | None = None,
                        value: int | None = None) -> Decomposition:
     """Decomposition of gamma = x - epsilon^n * alpha * y for a solution.
 
-    `beta` is epsilon^n * alpha and `value` is F_n(x, y) when the caller
-    already holds them."""
+    `value` is F_n(x, y) when the caller already holds it."""
     if x == 0 or y == 0:
         raise TrivialXY(f"(x, y) = ({x}, {y})")
-    if beta is None:
-        beta = fam.beta(n)
+    beta = fam.beta(n)
     if beta.is_rational():
         raise DegenerateN(f"epsilon^{n} * alpha is rational")
     if value is None:

@@ -41,6 +41,11 @@ Two independent enumeration paths cover the same box and must agree:
   cubic in x whose third difference is the constant 6 a0; all rows of the
   box step together as fixed-width lanes of a few integers (SIMD within a
   register: Lamport, CACM 18(8), 1975).
+
+Both paths only enumerate, and their records carry no decomposition.  The
+next stage, writing each x - beta_n y as epsilon^ell xi, belongs to
+`reduction.decompose_solution`, which `cli.cmd_solve` calls on the rows it
+prints.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .cubicfield import FieldElement
 from .errors import PrecisionExhausted
 from .family import BinaryCubicForm, FormFamily, norm_form
 from .intervals import CBox, RI, refine
-from .reduction import Decomposition, unit_reduce
+from .reduction import Decomposition
 from .reporting import frac_str, ri_json
 
 
@@ -130,10 +135,10 @@ def x_caps(fam: FormFamily, spec: SearchSpec,
            y_maxes: Iterable[int]) -> list[int]:
     """`x_cap` of the box with each y_max of `y_maxes` in place of its own,
     from one embedding of each beta_n."""
-    return _cap({n: fam.beta(n) for n in spec.indices()}, spec, y_maxes)[0]
+    return _cap(fam, spec, y_maxes)[0]
 
 
-def _cap(betas: dict, spec: SearchSpec,
+def _cap(fam: FormFamily, spec: SearchSpec,
          y_maxes: Iterable[int]) -> tuple[list[int], dict]:
     """floor(y_max * max |root| + k^(1/3)) from certified upper bounds, for
     each y_max of `y_maxes`, and the midpoint of each beta_n's real image
@@ -144,8 +149,8 @@ def _cap(betas: dict, spec: SearchSpec,
     some root b_i: the real root or the complex pair, whichever is larger."""
     top2 = Fraction(0)
     roots = {}
-    for n, beta in betas.items():
-        real, cplx = beta.embed(Fraction(1, 1 << 48))
+    for n in spec.indices():
+        real, cplx = fam.beta(n).embed(Fraction(1, 1 << 48))
         top2 = max(top2, abs(real).hi ** 2, cplx.abs2().hi)
         roots[n] = real.mid
     # numerators over 2^32 of upper bounds on y_max * sqrt(top2) and k^(1/3)
@@ -155,42 +160,34 @@ def _cap(betas: dict, spec: SearchSpec,
     return caps, roots
 
 
-def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, dict, int, list]:
-    """The setup both enumerations share: (found, betas, cap, rows).
+def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, int, list]:
+    """The setup both enumerations share: (found, cap, rows).
 
-    `betas` maps every index of the box to beta_n.  The degenerate indices
-    are enumerated exactly into `found` when kept, and `rows` lists
-    (n, beta_n, F_n, root) for the others, with root the midpoint of beta_n's
-    real image from `_cap`.  With k = 0 no value qualifies: the box is empty."""
+    The degenerate indices are enumerated exactly into `found` when kept,
+    and `rows` lists (n, beta_n, F_n, root) for the others, with root the
+    midpoint of beta_n's real image from `_cap`.  With k = 0 no value
+    qualifies: the box is empty."""
     found: dict = {}
     if spec.k == 0:
-        return found, {}, 0, []
-    betas = {n: fam.beta(n) for n in spec.indices()}
-    (cap,), roots = _cap(betas, spec, [spec.y_max])
+        return found, 0, []
+    (cap,), roots = _cap(fam, spec, [spec.y_max])
     rows = []
-    for n, beta in betas.items():
+    for n in spec.indices():
+        beta = fam.beta(n)
         form = norm_form(beta)
         if not beta.is_rational():
             rows.append((n, beta, form, roots[n]))
         elif not spec.exclude_degenerate:
             _degenerate_lines(found, spec, cap, n, beta, form)
             _trivial_axis_solutions(found, spec, cap, n, form, True)
-    return found, betas, cap, rows
+    return found, cap, rows
 
 
-def _finish(fam: FormFamily, found: dict, with_decomposition: bool,
-            betas: dict) -> list[SolutionRecord]:
-    """Sorted records; decomposes gamma = x - beta_n y for each solution.
-
-    `betas` maps every index of the box to its beta_n."""
-    records = []
-    for (n, x, y), (value, degenerate) in found.items():
-        dec = None
-        if with_decomposition and not degenerate and x != 0 and y != 0:
-            dec = unit_reduce(fam, (-y) * betas[n] + x)
-            assert dec.norm_abs == abs(value), "norm and form value disagree"
-        records.append(SolutionRecord(
-            n, x, y, value, math.gcd(abs(x), abs(y)) == 1, degenerate, dec))
+def _finish(found: dict) -> list[SolutionRecord]:
+    """The records of `found`, sorted by (n, y, x)."""
+    records = [SolutionRecord(n, x, y, value, math.gcd(abs(x), abs(y)) == 1,
+                              degenerate)
+               for (n, x, y), (value, degenerate) in found.items()]
     records.sort(key=lambda r: r.key)
     return records
 
@@ -331,8 +328,7 @@ def _convergents(form: BinaryCubicForm, q_max: int):
              c0)
 
 
-def solve_box(fam: FormFamily, spec: SearchSpec,
-              with_decomposition: bool = True) -> list[SolutionRecord]:
+def solve_box(fam: FormFamily, spec: SearchSpec) -> list[SolutionRecord]:
     """Pruned exhaustive enumeration; equals the oracle on the same box.
 
     Per index, the candidates come from two sources (see the module
@@ -342,8 +338,9 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
     * the points +-m (p, q) with p/q a convergent of the real root, m^3 <= k
       and y_scan < m q <= y_max.
 
-    Every candidate is confirmed by exact integer evaluation."""
-    found, betas, cap, rows = _box(fam, spec)
+    Every candidate is confirmed by exact integer evaluation.  The records
+    carry no decomposition: `cli.cmd_solve` reduces the rows it prints."""
+    found, cap, rows = _box(fam, spec)
     zk = math.isqrt(spec.k) + 1
     for n, beta, form, root in rows:
         try:
@@ -392,7 +389,7 @@ def solve_box(fam: FormFamily, spec: SearchSpec,
                                      evaluate(s * p, s * q), False)
                     m += 1
         _trivial_axis_solutions(found, spec, cap, n, form, False)
-    return _finish(fam, found, with_decomposition, betas)
+    return _finish(found)
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -580,8 +577,7 @@ def _naive_scan(found: dict, spec: SearchSpec, cap: int,
 
 
 def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
-                       naive: bool = False,
-                       with_decomposition: bool = True) -> list[SolutionRecord]:
+                       naive: bool = False) -> list[SolutionRecord]:
     """Ground-truth enumeration over the same box as `solve_box`.
 
     The default path is exhaustive-equivalent: on each monotone piece of the
@@ -590,11 +586,12 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     performs that literal scan (use only on small boxes): one `_naive_scan`
     of the whole box, every cell (n, x, y) of every non-degenerate index
     stepped by exact forward differences, all rows together in packed
-    lanes, with no pruning, window or symmetry."""
-    found, betas, cap, rows = _box(fam, spec)
+    lanes, with no pruning, window or symmetry.  Like `solve_box`, it
+    returns records without a decomposition."""
+    found, cap, rows = _box(fam, spec)
     if naive and rows:
         _naive_scan(found, spec, cap, [(n, form) for n, _, form, _ in rows])
     elif not naive:
         for n, _, form, root in rows:
             _oracle_index(found, spec, cap, n, root, form)
-    return _finish(fam, found, with_decomposition, betas)
+    return _finish(found)

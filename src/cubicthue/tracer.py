@@ -136,13 +136,12 @@ class Images:
 
 
 class SolutionImages:
-    """One audited solution: beta_n = epsilon^n alpha, the decomposition of
-    x - beta_n y, and the `Images` of its xi, made once per working
-    precision."""
+    """One audited solution: beta_n = epsilon^n alpha from the family, the
+    decomposition of x - beta_n y, and the `Images` of its xi, made once per
+    working precision."""
 
-    def __init__(self, fam: FormFamily, n: int, dec: Decomposition,
-                 beta: FieldElement):
-        self.fam, self.n, self.dec, self.beta = fam, n, dec, beta
+    def __init__(self, fam: FormFamily, n: int, dec: Decomposition):
+        self.fam, self.n, self.dec, self.beta = fam, n, dec, fam.beta(n)
         self._levels: dict[int, Images] = {}
         self._house: dict[tuple[int, int], tuple[RI, RI]] = {}
 
@@ -476,14 +475,15 @@ def _unique_integer(x: RI) -> int | None:
     return None
 
 
-def lambda_machinery(images: SolutionImages, k: int | None = None,
+def lambda_machinery(images: SolutionImages,
                      trace: SiegelTrace | None = None) -> LambdaData:
     """Linear form in logarithms attached to a third-case solution.
 
     With rho = xi (beta' - beta'bar) and mu = xi' (beta'bar - beta), the
     vanishing identity becomes rho eps^l + mu eps'^l - conj(mu eps'^l) = 0;
     dividing by -mu eps'^l yields e^Lambda - 1 on one side.  The integer h
-    makes Lambda - 2 i pi (l nu + theta_n) = 2 i pi h, and |h| <= |l| + 2."""
+    makes Lambda - 2 i pi (l nu + theta_n) = 2 i pi h, and |h| <= |l| + 2.
+    Row 20's scale always includes k^kappa9, that is `Images.top`."""
     if trace is not None and trace.case != CASE_T2T3:
         raise NotThirdCase(f"trace case is {trace.case}")
     fam, n, dec, beta = images.fam, images.n, images.dec, images.beta
@@ -544,9 +544,7 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
                                  "skipped: |e^Lambda - 1| >= 1/2"))
 
     # quantitative smallness row with its tight constant
-    scale = fim.half_power(-(n + 3 * abs(ell)))
-    if k is not None and k >= 2:
-        scale = scale * images.at(bits).top
+    scale = fim.half_power(-(n + 3 * abs(ell))) * images.at(bits).top
     row20 = LedgerRow(
         "20", "smallness of the unit-equation ratio", abs_q1,
         "c * eps^(-(n + 3|l|)/2) * k^kappa9", None,
@@ -555,7 +553,7 @@ def lambda_machinery(images: SolutionImages, k: int | None = None,
     mp = alg.min_poly(mu_split)
     lead = to_int_primitive(mp)[0]
     mu_height = height_from_conjugates(lead, alg.embeddings(mu_split, bits),
-                                       len(mp) - 1)
+                                       len(mp) - 1, DEFAULT_BITS)
     return LambdaData(big_lambda, h, nu, theta_n, mu_height, tuple(checks),
                       (row20,))
 
@@ -599,12 +597,11 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int,
     Raises `NotASolution` unless 0 < |F_n(x, y)| <= k.  `precision_bits`
     is the working precision the Siegel step certified at; every enclosure
     is a function of it and of the solution alone."""
-    beta = fam.beta(n)
-    value = norm_form(beta).evaluate(x, y)
+    value = norm_form(fam.beta(n)).evaluate(x, y)
     if value == 0 or abs(value) > k:
         raise NotASolution(f"|F_{n}({x}, {y})| = {abs(value)} not in (0, {k}]")
-    dec = decompose_solution(fam, n, x, y, beta=beta, value=value)
-    images = SolutionImages(fam, n, dec, beta)
+    dec = decompose_solution(fam, n, x, y, value=value)
+    images = SolutionImages(fam, n, dec)
     trace = siegel_terms(images)
     rows = inequality_ledger(images, x, y, k, trace)
     _, kappa9 = images.house(k, DEFAULT_BITS)
@@ -636,7 +633,7 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int,
         "lambda": None,
     }
     if trace.case == CASE_T2T3:
-        lam = lambda_machinery(images, k=k, trace=trace)
+        lam = lambda_machinery(images, trace=trace)
         cert["lambda"] = {
             "h": lam.h,
             "nu": ri_json(lam.nu, 30),

@@ -29,8 +29,8 @@ def reference_choose_ell(fam: FormFamily, gamma: FieldElement,
 
     def step(bits: int) -> int | None:
         width = Fraction(1, 1 << bits)
-        reg = ri_log(eps.real_embedding(width), bits)
-        gr = abs(gamma.real_embedding(width))
+        reg = ri_log(eps.embed(width)[0], bits)
+        gr = abs(gamma.embed(width)[0])
         if not gr.is_positive():
             return None
         t = (ri_log(gr, bits) - ri_log(RI.point(m), bits) / 3) / reg

@@ -34,7 +34,7 @@ P25 = Fraction(1, 10**25)
 def test_calibrate_zero_delta1(fam1):
     # delta1 = 0, delta2 = the unit angle; scan certifies a finite exponent
     _, theta = family_angles(fam1)
-    result = calibrate_c2(RI.point(0), theta, 10**4, P25)
+    result = calibrate_c2(RI.point(0), theta, 10**4)
     assert 0 < result.c2 < 100
     assert result.checked > 0
     data = result.to_json()
@@ -44,21 +44,21 @@ def test_calibrate_zero_delta1(fam1):
 def test_calibrate_skips_exact_degenerate(fam1):
     # delta1 = delta2 makes n = -1 land exactly in Z*pi: it must be skipped
     delta, theta = family_angles(fam1)
-    result = calibrate_c2(delta, theta, 50, P25)
+    result = calibrate_c2(delta, theta, 50)
     assert -1 in result.skipped
     assert all(n == -1 for n in result.skipped)
 
 
 def test_calibrate_monotone_in_n():
     theta = RI.point(Fraction(372, 100))  # wide of any small rational of pi
-    r1 = calibrate_c2(RI.point(0), theta, 500, P25)
-    r2 = calibrate_c2(RI.point(0), theta, 1000, P25)
+    r1 = calibrate_c2(RI.point(0), theta, 500)
+    r2 = calibrate_c2(RI.point(0), theta, 1000)
     assert r2.c2 >= r1.c2
 
 
 def test_calibration_roundtrip(fam1):
     delta, theta = family_angles(fam1)
-    result = calibrate_c2(delta, theta, 1000, P25)
+    result = calibrate_c2(delta, theta, 1000)
     c2 = Fraction(result.c2)
     for n in range(-1000, 1001):
         if n == 0 or n in result.skipped:
@@ -72,7 +72,7 @@ def test_calibration_is_tight_at_worst_index(fam1):
     # c2 is the smallest exponent that works: at worst_n, a direct 160-bit
     # enclosure of |sin| * (|n| + 2)^c2 reaches no higher than 1 + 1e-9
     delta, theta = family_angles(fam1)
-    result = calibrate_c2(delta, theta, 1000, P25)
+    result = calibrate_c2(delta, theta, 1000)
     n = result.worst_n
     s = abs(ri_sin(delta + n * theta, 160))
     scale = ri_exp(ri_log(RI.point(abs(n) + 2), 160) * Fraction(result.c2), 160)
@@ -81,7 +81,7 @@ def test_calibration_is_tight_at_worst_index(fam1):
 
 def outcome(calibrate, delta1, delta2, n_max):
     try:
-        r = calibrate(delta1, delta2, n_max, P25)
+        r = calibrate(delta1, delta2, n_max)
     except DegenerateAngle:
         return "degenerate"
     return r.c2, r.worst_n, r.skipped, r.checked
@@ -143,7 +143,7 @@ def test_calibrate_bridge_calls(fam1, monkeypatch):
 
     monkeypatch.setattr(cubicthue.intervals, "_call_iv", counted_call_iv)
     monkeypatch.setattr(cubicthue.bounds, "ri_log", counted_log)
-    calibrate_c2(delta, theta, 10**4, P25)
+    calibrate_c2(delta, theta, 10**4)
     assert 0 < calls["log"] < 100
     assert calls["bridge"] <= 6 + calls["log"]
 

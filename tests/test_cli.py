@@ -15,8 +15,8 @@ import cubicthue.family
 import cubicthue.reduction
 import cubicthue.tracer
 from cubicthue.cli import main
-from cubicthue.cubicfield import DEFAULT_PRECISION
-from cubicthue.family import example_family, family_to_json
+from cubicthue.cubicfield import DEFAULT_BITS, DEFAULT_PRECISION
+from cubicthue.family import example_family, family_to_json, make_family
 from cubicthue.reduction import Decomposition
 from reference_reduction import reference_balance
 
@@ -123,6 +123,30 @@ def test_solve_json_schema_header(capsys):
     body = [json.loads(line) for line in lines[1:]]
     assert all(isinstance(rec["n"], int) for rec in body)
     assert any(rec["x"] == 1 and rec["y"] == -1 for rec in body)
+
+
+@pytest.mark.parametrize("path", [(), ("--oracle",)], ids=["pruned", "oracle"])
+def test_solve_decomposes_every_row_off_the_axes(path, capsys):
+    # the solvers only enumerate; solve writes x - beta_n y = eps^ell xi for
+    # each row with xy != 0 at a non-degenerate index, on either path
+    code, out, _ = run_cli(capsys, "--output", "json", "solve", "--D", "1",
+                           "--n", "-3..3", "--k", "20", "--y-max", "30",
+                           "--include-trivial", "--include-degenerate", *path)
+    assert code == 0
+    fam = example_family(1)
+    rows = [json.loads(line) for line in out.splitlines()[1:]]
+    decomposed = 0
+    for row in rows:
+        n, x, y = row["n"], row["x"], row["y"]
+        if x * y == 0 or fam.is_degenerate_index(n):
+            assert "ell" not in row and "xi1" not in row
+            continue
+        xi = fam.field.element(*(Fraction(c) for c in row["xi1"]))
+        assert (fam.epsilon ** row["ell"]) * xi == \
+            fam.field.element(x) - fam.beta(n) * y
+        decomposed += 1
+    assert 0 < decomposed < len(rows)
+    assert any(row.get("degenerate") for row in rows)
 
 
 # -- trace -------------------------------------------------------------------
@@ -334,8 +358,8 @@ def test_verify_height_equals_regulator_third_can_fail(monkeypatch, capsys):
     # a regulator shifted by 3e-6 moves R/3 away from h(epsilon) by 1e-6
     real = cubicthue.cli.regulator
 
-    def shifted(fam, precision):
-        return real(fam, precision) + Fraction(3, 10**6)
+    def shifted(fam):
+        return real(fam) + Fraction(3, 10**6)
 
     monkeypatch.setattr(cubicthue.cli, "regulator", shifted)
     code, out, err = run_cli(capsys, "verify", "--D", "1")
@@ -407,6 +431,57 @@ def test_verify_family_file_roundtrip(tmp_path, capsys):
     assert "[file]" in out
 
 
+def test_verify_swap_identity_only_where_it_holds(tmp_path, capsys):
+    # F_(-n)(X, Y) = -F_(n-2)(Y, X) needs alpha = epsilon and N(epsilon) = 1;
+    # for alpha = g + 2 the swapped form belongs to another family, so the
+    # check does not apply and must not fail a valid family
+    d1 = example_family(1)
+    fam = make_family(d1.field, d1.field.gen() + 2, d1.epsilon)
+    path = tmp_path / "family.json"
+    path.write_text(family_to_json(fam))
+    code, out, _ = run_cli(capsys, "verify", "--family-file", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    swap, = (line for line in lines if "swap_identity" in line)
+    assert swap.startswith("[file] info swap_identity: ")
+    assert "does not apply" in swap
+    assert all(line.startswith("[file] ok   ") for line in lines
+               if line != swap)
+
+
+MALFORMED_RECORDS = {
+    "zero_denominator": lambda r: {**r, "alpha": ["1/0", "0", "0"]},
+    "no_min_poly": lambda r: {k: v for k, v in r.items() if k != "min_poly"},
+    "min_poly_number": lambda r: {**r, "min_poly": 3},
+    "array": lambda r: [r],
+    "alpha_number": lambda r: {**r, "alpha": 3},
+    "four_coordinates": lambda r: {**r, "alpha": [*r["alpha"], "0"]},
+    "two_coordinates": lambda r: {**r, "alpha": ["3", "3"]},
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_RECORDS.values(),
+                         ids=MALFORMED_RECORDS.keys())
+def test_malformed_family_file_is_an_invalid_parameter(malform, tmp_path,
+                                                      capsys):
+    # a record that is not an object, lacks a key or has malformed
+    # coordinates is refused, never read as another family; the record has
+    # no "D", whose check would refuse 3 + 3g for another reason
+    d1 = json.loads(family_to_json(example_family(1)))
+    record = malform({key: value for key, value in d1.items() if key != "D"})
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(record))
+    for argv in (("solve", "--n", "0..0", "--k", "2", "--y-max", "5"),
+                 ("trace", "--n", "0", "--x", "1", "--y", "-1", "--k", "2")):
+        code, out, err = run_cli(capsys, argv[0], "--family-file", str(path),
+                                 *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid parameters: ")
+    code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+    assert (code, out) == (5, "")
+    assert "verification setup failed" in err
+
+
 def test_family_file_with_original_a0_rejected(tmp_path, capsys):
     # the scaling of a non-monic model is applied nowhere, so such a file
     # would silently solve the monic model: refuse it
@@ -474,6 +549,24 @@ def test_import_leaves_sympy_unloaded():
 
 
 # -- one precision target ----------------------------------------------------
+
+
+def test_verify_builds_family_images_at_one_precision(monkeypatch, capsys):
+    # every check certifies at DEFAULT_PRECISION, so the family's enclosures
+    # are made at DEFAULT_BITS and at no second level
+    levels = []
+    init = cubicthue.family.FamilyImages.__init__
+
+    def recorded(self, fam, bits):
+        levels[-1].add(bits)
+        init(self, fam, bits)
+
+    monkeypatch.setattr(cubicthue.family.FamilyImages, "__init__", recorded)
+    for deep in ((), ("--deep",)):
+        levels.append(set())
+        code, _, _ = run_cli(capsys, "verify", "--D", "1", *deep)
+        assert code == 0
+    assert levels == [{DEFAULT_BITS}, {DEFAULT_BITS}]
 
 
 def test_no_setting_moves_the_precision_target(monkeypatch, capsys):

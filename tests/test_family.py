@@ -70,7 +70,7 @@ def test_forms_irreducible_except_degenerate(fam1):
 
 def test_example_family_d1_epsilon(fam1):
     # oracle: 1/(cbrt(2) - 1) = 1 + cbrt(2) + cbrt(4) = 3.847322...
-    real = fam1.epsilon.real_embedding(Fraction(1, 10**12))
+    real = fam1.epsilon.embed(Fraction(1, 10**12))[0]
     assert str(float(real.mid)).startswith("3.8473221")
 
 
@@ -87,7 +87,7 @@ def test_example_family_trace(fam2):
 
 def test_example_family_negative_parameter():
     fam = example_family(-2)
-    real = fam.epsilon.real_embedding(Fraction(1, 10**10))
+    real = fam.epsilon.embed(Fraction(1, 10**10))[0]
     assert real.lo > 1
     assert abs(fam.epsilon.norm()) == 1
 

@@ -112,14 +112,14 @@ def test_height_of_one(fam1):
 
 
 def test_height_of_two(fam1):
-    report = abs_log_height(fam1.field.element(2), P20)
+    report = abs_log_height(fam1.field.element(2))
     with mpmath.workdps(60):
         assert _inside(report.height, mpmath.log(2))
 
 
 def test_height_of_unit_is_regulator_third(fam1):
-    report = abs_log_height(fam1.epsilon, P20)
-    reg = regulator(fam1, P20)
+    report = abs_log_height(fam1.epsilon)
+    reg = regulator(fam1)
     diff = report.height - reg / 3
     assert abs(diff).hi <= P12
     assert report.degree_used == 3
@@ -132,11 +132,11 @@ def test_height_of_zero_rejected(fam1):
 
 def test_height_power_scaling(fam1):
     # h(eps^m) = |m| h(eps) within 1e-12 for |m| <= 10
-    base = abs_log_height(fam1.epsilon, P20).height
+    base = abs_log_height(fam1.epsilon).height
     for m in range(-10, 11):
         if m == 0:
             continue
-        h_m = abs_log_height(fam1.epsilon ** m, P20).height
+        h_m = abs_log_height(fam1.epsilon ** m).height
         diff = h_m - abs(m) * base
         assert abs(diff).hi <= P12
 
@@ -144,8 +144,8 @@ def test_height_power_scaling(fam1):
 def test_height_regulator_relation_all_d():
     for D in range(1, 6):
         fam = example_family(D)
-        h = abs_log_height(fam.epsilon, P20).height
-        reg = regulator(fam, P20)
+        h = abs_log_height(fam.epsilon).height
+        reg = regulator(fam)
         assert abs(h - reg / 3).hi <= P12
 
 
@@ -157,8 +157,8 @@ def test_height_from_conjugates_matches_minpoly_route(fam1):
     z = alg.sigma(fam1.epsilon) - alg.from_k(fam1.field.element(3))
     mp_z = alg.min_poly(z)
     via_conj = height_from_conjugates(1, alg.embeddings(z, 200), len(mp_z) - 1,
-                                      P12)
-    via_embed = abs_log_height(fam1.epsilon - 3, P12)
+                                      200)
+    via_embed = abs_log_height(fam1.epsilon - 3)
     # the isolated-root route: log M of the primitive minimal polynomial / 3
     mahler = mahler_measure(to_int_primitive(mp_z), P12)
     via_roots = ri_log(mahler, 60) / 3
@@ -171,13 +171,13 @@ def test_height_from_conjugates_matches_minpoly_route(fam1):
 
 
 def test_regulator_d1(fam1):
-    reg = regulator(fam1, P20)
+    reg = regulator(fam1)
     assert str(float(reg.mid)).startswith(REG_D1[:14])
     assert reg.width <= P20
 
 
 def test_regulator_d2(fam2):
-    reg = regulator(fam2, P20)
+    reg = regulator(fam2)
     assert str(float(reg.mid)).startswith(REG_D2[:14])
     with mpmath.workdps(60):
         oracle = mpmath.log(mpmath.polyroots([1, -12, -6, -1])[0].real)
@@ -186,8 +186,8 @@ def test_regulator_d2(fam2):
 
 def test_regulator_of_square_doubles(fam1):
     fam_sq = make_family(fam1.field, fam1.alpha, fam1.epsilon ** 2)
-    reg = regulator(fam1, P20)
-    reg_sq = regulator(fam_sq, P20)
+    reg = regulator(fam1)
+    reg_sq = regulator(fam_sq)
     assert (2 * reg).overlaps(reg_sq)
 
 

@@ -39,7 +39,7 @@ def test_small_element(fam1):
     gamma = fam1.field.element(2) - fam1.epsilon
     dec = unit_reduce(fam1, gamma)
     assert (fam1.epsilon ** dec.ell) * dec.xi == gamma
-    reg = regulator(fam1, P25)
+    reg = regulator(fam1)
     assert dec.balance.hi <= (reg / 2).hi + TOL
     # oracle: exhaustive scan over candidate exponents confirms minimality
     best = None
@@ -61,7 +61,7 @@ def test_zero_rejected(fam1):
 
 def test_balance_bound_random_sample(fam1):
     rng = random.Random(42)
-    reg_half_plus = (regulator(fam1, P25) / 2).hi + TOL
+    reg_half_plus = (regulator(fam1) / 2).hi + TOL
     for _ in range(200):
         coords = [rng.randint(-50, 50) for _ in range(3)]
         if coords == [0, 0, 0]:
@@ -75,7 +75,7 @@ def test_balance_bound_random_sample(fam1):
 def test_sandwich_bounds(fam1):
     # e^(-R/2-tol) m^(1/3) <= |embedding| <= e^(R/2+tol) m^(1/3)
     rng = random.Random(43)
-    reg = regulator(fam1, P25)
+    reg = regulator(fam1)
     upper = ri_exp(reg / 2 + TOL, 120)
     lower = upper.recip()
     for _ in range(60):
@@ -113,7 +113,7 @@ def test_decompose_known_solution(fam1):
     dec = decompose_solution(fam1, 0, 1, -1)
     assert dec.norm_abs == 2
     assert (fam1.epsilon ** dec.ell) * dec.xi == fam1.field.element(1) + fam1.beta(0)
-    _, kappa9 = SolutionImages(fam1, 0, dec, fam1.beta(0)).house(2, BITS)
+    _, kappa9 = SolutionImages(fam1, 0, dec).house(2, BITS)
     # xi = cbrt(2): the exponent log(house)/log(2) is exactly 1/3
     assert abs(float(kappa9.mid) - 1 / 3) < 1e-12
 
@@ -151,7 +151,7 @@ def test_empirical_house_exponent_bounded(fam1):
                 v = form.evaluate(x, y)
                 if v != 0 and abs(v) <= 10:
                     dec = decompose_solution(fam1, n, x, y)
-                    images = SolutionImages(fam1, n, dec, fam1.beta(n))
+                    images = SolutionImages(fam1, n, dec)
                     _, kappa9 = images.house(10, BITS)
                     seen.append(float(kappa9.hi))
     assert seen
@@ -162,7 +162,7 @@ def _box_gammas(fam):
     """gamma = x - beta_n y for solutions of |F_n(x, y)| <= 100, whose real
     images cancel, and a few random elements."""
     spec = SearchSpec(k=100, n_lo=-4, n_hi=4, y_max=500)
-    records = solve_box(fam, spec, with_decomposition=False)
+    records = solve_box(fam, spec)
     gammas = [fam.field.element(r.x) - fam.beta(r.n) * r.y
               for r in records[::max(1, len(records) // 12)]]
     rng = random.Random(44)
@@ -194,7 +194,7 @@ def test_exact_tie_takes_the_smaller_index(fam1, monkeypatch, h):
     # over the unit epsilon^2, gamma = epsilon^(2h+1) has t = h + 1/2 exactly
     fam = make_family(fam1.field, fam1.alpha, fam1.epsilon ** 2)
     gamma = fam1.epsilon ** (2 * h + 1)
-    half = ri_log(fam.epsilon.real_embedding(Fraction(1, 1 << 200)), 200) / 2
+    half = ri_log(fam.epsilon.embed(Fraction(1, 1 << 200))[0], 200) / 2
     decs = [unit_reduce(fam, gamma)]
     for guess in (h, h + 1):  # dev = +R/2 keeps h; dev = -R/2 moves down to h
         monkeypatch.setattr(reduction, "_guess",

@@ -90,9 +90,8 @@ def test_oracle_trivial_pairs_included_when_requested(fam1):
 
 def test_solve_box_equals_oracle(fam1, fam2, fam3):
     for fam in (fam1, fam2, fam3):
-        pruned = record_keys(solve_box(fam, SMALL, with_decomposition=False))
-        oracle = record_keys(brute_force_oracle(fam, SMALL,
-                                                with_decomposition=False))
+        pruned = record_keys(solve_box(fam, SMALL))
+        oracle = record_keys(brute_force_oracle(fam, SMALL))
         assert pruned == oracle
 
 
@@ -110,10 +109,10 @@ def test_stripe_failure_falls_back_to_the_oracle(fam1, monkeypatch):
         return stripe_data(beta, spec)
 
     monkeypatch.setattr(solver, "_stripe_data", exhausted_at_one_index)
-    records = solve_box(fam1, spec, with_decomposition=False)
+    records = solve_box(fam1, spec)
     assert len(failed) == 1 and any(r.n == 1 for r in records)
     assert record_keys(records) == record_keys(
-        brute_force_oracle(fam1, spec, with_decomposition=False))
+        brute_force_oracle(fam1, spec))
 
 
 def test_solve_box_records_verify_exactly(fam1):
@@ -124,14 +123,12 @@ def test_solve_box_records_verify_exactly(fam1):
         assert value == r.value
         assert 0 < abs(value) <= SMALL.k
         assert abs(r.x) <= x_cap(fam1, SMALL)
-        if r.decomposition is not None:
-            dec = r.decomposition
-            assert (fam1.epsilon ** dec.ell) * dec.xi == \
-                fam1.field.element(r.x) - fam1.beta(r.n) * r.y
+        # the solver only enumerates; `cmd_solve` decomposes the rows
+        assert r.decomposition is None
 
 
 def test_solve_box_symmetry_closure(fam1):
-    keys = set(record_keys(solve_box(fam1, SMALL, with_decomposition=False)))
+    keys = set(record_keys(solve_box(fam1, SMALL)))
     for (n, x, y, v) in keys:
         assert (n, -x, -y, -v) in keys
 
@@ -140,7 +137,7 @@ def test_negative_index_swap_correspondence(fam1):
     # solutions at -n match solutions at n-2 with x and y exchanged,
     # because F_(-n)(x, y) = -F_(n-2)(y, x) exactly
     spec = SearchSpec(k=10, n_lo=-5, n_hi=3, y_max=30)
-    keys = set(record_keys(solve_box(fam1, spec, with_decomposition=False)))
+    keys = set(record_keys(solve_box(fam1, spec)))
     for (n, x, y, v) in keys:
         if -5 <= n <= -2 and abs(y) <= 30 and abs(x) <= 30:
             partner = (-n - 2, y, x, -v)
@@ -159,9 +156,8 @@ def test_complex_root_cap_witness():
     fam = family_from_json(CAP_WITNESS)
     spec = SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40)
     assert x_cap(fam, spec) >= 335
-    keys = record_keys(solve_box(fam, spec, with_decomposition=False))
-    assert keys == record_keys(brute_force_oracle(fam, spec,
-                                                  with_decomposition=False))
+    keys = record_keys(solve_box(fam, spec))
+    assert keys == record_keys(brute_force_oracle(fam, spec))
     assert (-10, 268, -4, 64) in keys
     assert (-10, 335, -5, 125) in keys
 
@@ -171,10 +167,9 @@ def test_convergent_source_beyond_the_scan(fam1):
     # so only the convergent candidates can find it
     spec = SearchSpec(k=60, n_lo=-3, n_hi=-3, y_max=100)
     assert _stripe_data(fam1.beta(-3), spec).y_scan < 74
-    keys = record_keys(solve_box(fam1, spec, with_decomposition=False))
+    keys = record_keys(solve_box(fam1, spec))
     assert (-3, 5, 74, 51) in keys
-    assert keys == record_keys(brute_force_oracle(fam1, spec,
-                                                  with_decomposition=False))
+    assert keys == record_keys(brute_force_oracle(fam1, spec))
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 0, -2), (1, 0, 0, 2),
@@ -194,7 +189,7 @@ def test_convergents_match_a_high_precision_expansion(coeffs):
 
 
 def test_sorted_output(fam1):
-    records = solve_box(fam1, SMALL, with_decomposition=False)
+    records = solve_box(fam1, SMALL)
     keys = [r.key for r in records]
     assert keys == sorted(keys)
 
@@ -205,11 +200,10 @@ def test_sorted_output(fam1):
 def test_pruning_speedup_reported(fam1):
     spec = SearchSpec(k=10, n_lo=-6, n_hi=6, y_max=2000)
     t0 = time.perf_counter()
-    pruned = record_keys(solve_box(fam1, spec, with_decomposition=False))
+    pruned = record_keys(solve_box(fam1, spec))
     t_pruned = time.perf_counter() - t0
     t0 = time.perf_counter()
-    oracle = record_keys(brute_force_oracle(fam1, spec,
-                                            with_decomposition=False))
+    oracle = record_keys(brute_force_oracle(fam1, spec))
     t_oracle = time.perf_counter() - t0
     assert pruned == oracle
     ratio = t_oracle / max(t_pruned, 1e-9)
@@ -223,7 +217,7 @@ def test_empty_stripes_cost_nothing(fam1):
     # the box has 2 * 10^4 stripes per index
     spec = SearchSpec(k=2, n_lo=2, n_hi=2, y_max=10**4)
     t0 = time.perf_counter()
-    records = solve_box(fam1, spec, with_decomposition=False)
+    records = solve_box(fam1, spec)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     assert all(abs(r.y) <= 20 for r in records)
@@ -234,13 +228,11 @@ def test_large_box_extends_the_small_one(fam1):
     # box 5 * 10^4 times taller costs about as much as the canonical one
     small = SearchSpec(k=100, n_lo=-10, n_hi=10, y_max=20000)
     t0 = time.perf_counter()
-    records = solve_box(fam1, replace(small, y_max=10**9),
-                        with_decomposition=False)
+    records = solve_box(fam1, replace(small, y_max=10**9))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     inner = record_keys([r for r in records if abs(r.y) <= small.y_max])
-    assert inner == record_keys(solve_box(fam1, small,
-                                          with_decomposition=False))
+    assert inner == record_keys(solve_box(fam1, small))
     for r in records:
         assert form_at(fam1, r.n).evaluate(r.x, r.y) == r.value
         assert 0 < abs(r.value) <= small.k

@@ -48,7 +48,7 @@ CAP_WITNESS = family_from_json(
 def _unit(field):
     """epsilon = +-g^(+-1), signed and inverted so its real image exceeds 1."""
     g = field.gen()
-    real = g.real_embedding(Fraction(1, 1 << 64))
+    real = g.embed(Fraction(1, 1 << 64))[0]
     assert real.sign_definite()
     unit = g if abs(real).lo > 1 else g.inverse()
     # g and 1/g have the same sign
@@ -88,9 +88,8 @@ def boxes(draw, k_max: int, n_abs: int, y_max: int, k_min: int = 1):
 @given(fam=families(), spec=boxes(k_max=60, n_abs=4, y_max=300))
 @example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40))
 def test_solve_box_equals_oracle_on_random_families(fam, spec):
-    pruned = record_keys(solve_box(fam, spec, with_decomposition=False))
-    oracle = record_keys(brute_force_oracle(fam, spec,
-                                            with_decomposition=False))
+    pruned = record_keys(solve_box(fam, spec))
+    oracle = record_keys(brute_force_oracle(fam, spec))
     assert pruned == oracle
 
 
@@ -99,9 +98,8 @@ def test_solve_box_equals_oracle_on_random_families(fam, spec):
        spec=boxes(k_max=30, n_abs=1, y_max=6))
 @example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=5))
 def test_solve_box_equals_naive_oracle_on_tiny_boxes(fam, spec):
-    pruned = record_keys(solve_box(fam, spec, with_decomposition=False))
-    naive = record_keys(brute_force_oracle(fam, spec, naive=True,
-                                           with_decomposition=False))
+    pruned = record_keys(solve_box(fam, spec))
+    naive = record_keys(brute_force_oracle(fam, spec, naive=True))
     assert pruned == naive
 
 
@@ -110,12 +108,10 @@ def _naive_equals_reference(fam, spec):
     so that a solution sits on the boundary |F| = k; returns the first
     reference."""
     reference = per_cell_reference(fam, spec)
-    assert brute_force_oracle(fam, spec, naive=True,
-                              with_decomposition=False) == reference
+    assert brute_force_oracle(fam, spec, naive=True) == reference
     if reference:
         edge = replace(spec, k=max(abs(r.value) for r in reference))
-        naive = brute_force_oracle(fam, edge, naive=True,
-                                   with_decomposition=False)
+        naive = brute_force_oracle(fam, edge, naive=True)
         assert naive == per_cell_reference(fam, edge)
     return reference
 
@@ -201,7 +197,7 @@ def test_family_json_and_unit_reduce_on_random_families(fam, gammas):
     back = family_from_json(family_to_json(fam))
     assert back.field.min_poly == fam.field.min_poly
     assert back.alpha == fam.alpha and back.epsilon == fam.epsilon
-    reg_half = regulator(fam, Fraction(1, 10**20)).hi / 2 + Fraction(1, 10**9)
+    reg_half = regulator(fam).hi / 2 + Fraction(1, 10**9)
     for coords in gammas:
         gamma = fam.field.element(*coords)
         dec = unit_reduce(fam, gamma)
@@ -243,7 +239,7 @@ IDENTITY_CHECKS = ("sum_zero", "dual_form_T1", "dual_form_T2", "dual_form_T3")
 @example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=40))
 @example(fam=ATAN2_WITNESS, spec=SearchSpec(k=2, n_lo=-1, n_hi=-1, y_max=1))
 def test_certificate_identity_checks_on_random_families(fam, spec):
-    for record in solve_box(fam, spec, with_decomposition=False)[:3]:
+    for record in solve_box(fam, spec)[:3]:
         cert = trace_certificate(fam, record.n, record.x, record.y, spec.k)
         holds = {c["id"]: c["holds"] for c in cert["checks"]}
         assert {name: holds[name] for name in IDENTITY_CHECKS} == dict.fromkeys(

@@ -49,8 +49,7 @@ def _solutions(fam, k=10, n_span=6, box=30):
 
 
 def _images(fam, n, x, y):
-    return SolutionImages(fam, n, decompose_solution(fam, n, x, y),
-                          fam.beta(n))
+    return SolutionImages(fam, n, decompose_solution(fam, n, x, y))
 
 
 # -- siegel_terms -------------------------------------------------------------
@@ -80,7 +79,7 @@ def test_degenerate_sine_flagged(fam1):
     # a synthetic decomposition with rational xi makes the second term
     # vanish identically
     dec = Decomposition(0, fam1.field.one(), Fraction(1), RI.point(0))
-    trace = siegel_terms(SolutionImages(fam1, 0, dec, fam1.beta(0)))
+    trace = siegel_terms(SolutionImages(fam1, 0, dec))
     assert "T2" in trace.degenerate_sines
     assert trace.t2.re == RI.point(0) and trace.t2.im == RI.point(0)
 
@@ -190,7 +189,7 @@ def test_lambda_h_bound_over_sweep(fam1):
     sols = _third_case_solutions(fam1)
     assert sols
     for n, x, y, images, trace in sols:
-        lam = lambda_machinery(images, k=10, trace=trace)
+        lam = lambda_machinery(images, trace=trace)
         assert abs(lam.h) <= abs(images.dec.ell) + 2
         for check in lam.checks:
             assert check.holds, (n, x, y, check)
@@ -203,7 +202,7 @@ def test_lambda_trivial_branch(fam1):
     # realize the h = 0, small-Lambda situation through a synthetic
     # decomposition with rational xi
     dec = Decomposition(0, fam1.field.element(1), Fraction(1), RI.point(0))
-    lam = lambda_machinery(SolutionImages(fam1, 0, dec, fam1.beta(0)))
+    lam = lambda_machinery(SolutionImages(fam1, 0, dec))
     assert lam.h in (-1, 0, 1)
     assert abs(lam.h) <= 2
 
@@ -221,7 +220,7 @@ def test_lemma3b_inequality_direct(fam1):
     # arithmetic at high precision
     sols = _third_case_solutions(fam1)
     n, x, y, images, trace = sols[0]
-    lam = lambda_machinery(images, k=10, trace=trace)
+    lam = lambda_machinery(images, trace=trace)
     with mpmath.workdps(50):
         lam_mid = mpmath.mpc(float(lam.Lambda.re.mid), float(lam.Lambda.im.mid))
         direct = abs(mpmath.exp(lam_mid) - 1)
@@ -257,7 +256,7 @@ def test_mu_height_growth(fam1):
     # h(mu_n) <= C (n + log k) for a bounded empirical C over the sweep
     ratios = []
     for n, x, y, images, trace in _third_case_solutions(fam1):
-        lam = lambda_machinery(images, k=10, trace=trace)
+        lam = lambda_machinery(images, trace=trace)
         h_mu = float(lam.mu_height.height.hi)
         scale = abs(n) + mpmath.log(10)
         ratios.append(h_mu / float(scale))
@@ -337,7 +336,7 @@ def test_stages_embed_each_element_once_per_precision(monkeypatch):
 
     fam = example_family(1)
     records = solve_box(fam, SearchSpec(k=100, n_lo=-10, n_hi=10,
-                                        y_max=20000), with_decomposition=False)
+                                        y_max=20000))
     monkeypatch.setattr(FieldElement, "embed", counted_embed)
     monkeypatch.setattr(tracer, "decompose_solution", decompose_then_count)
     cases = set()
