@@ -60,6 +60,9 @@ EXIT_VERIFY_FAILED = 5
 # so a full budget costs from 0.08 s to about 0.2 s there.
 NAIVE_CELL_BUDGET = 6 * 10**6
 
+# The k at which verify's equivalence checks may run, in the order tried.
+EQUIVALENCE_KS = (5, 20, 100)
+
 _SOLUTION_INPUT_ERRORS = (errors.DegenerateN, errors.TrivialXY,
                           errors.ZeroValue)
 
@@ -193,25 +196,35 @@ def _verify_checks(fam: FormFamily, deep: bool):
             break
     yield "unit_reduction", ok, "exact reconstruction and balance <= R/2 + 1e-9"
 
+    # each equivalence check runs at the first k of the ladder at which the
+    # oracle finds a row in its box, so that it compares rows, not two
+    # empty sets
     y_max = 1000 if deep else 30
-    spec = SearchSpec(k=5, n_lo=-3, n_hi=3, y_max=y_max)
+    for k in EQUIVALENCE_KS:
+        spec = SearchSpec(k=k, n_lo=-3, n_hi=3, y_max=y_max)
+        oracle = record_keys(brute_force_oracle(fam, spec))
+        if oracle:
+            break
     pruned = record_keys(solve_box(fam, spec))
-    oracle = record_keys(brute_force_oracle(fam, spec))
-    yield "solver_equivalence", pruned == oracle, (
-        f"{len(pruned)} solutions, y_max = {y_max}")
+    yield "solver_equivalence", _compared(pruned, oracle), (
+        f"{len(pruned)} solutions, y_max = {y_max}{_k_moved(k)}")
     if not deep:
-        sub, cells = _naive_sub_box(fam, spec)
+        for k in EQUIVALENCE_KS:
+            sub, cells = _naive_sub_box(fam, replace(spec, k=k))
+            rows = (oracle if sub == spec
+                    else record_keys(brute_force_oracle(fam, sub)))
+            if rows:
+                break
         naive = record_keys(brute_force_oracle(fam, sub, naive=True))
-        if sub != spec:
-            oracle = record_keys(brute_force_oracle(fam, sub))
         over = (f", over the {NAIVE_CELL_BUDGET}-cell budget"
                 if cells > NAIVE_CELL_BUDGET else "")
-        yield "naive_oracle_equivalence", naive == oracle, (
-            f"literal triple loop, y_max' = {sub.y_max}, {cells} cells{over}")
+        yield "naive_oracle_equivalence", _compared(naive, rows), (
+            f"literal triple loop, y_max' = {sub.y_max}, {cells} cells{over}"
+            f"{_k_moved(k)}")
 
     fund = check_fundamental(fam)
     yield ("fundamentality", True if fund.proved else None,
-           f"certificate: {fund.status}")
+           f"certificate: {fund.status} in Z[g]")
 
     if deep:
         delta, theta = family_angles(fam)
@@ -226,6 +239,17 @@ def _verify_checks(fam: FormFamily, deep: bool):
             ok = need <= cal.c2 <= need * (1 + 1e-9) + 1e-14
         yield ("sine_calibration", ok,
                f"c2 = {cal.c2:.6f}, skipped = {len(cal.skipped)}")
+
+
+def _compared(rows: list, oracle: list) -> bool | None:
+    """Whether two enumerations agree; None (info) when both are empty,
+    where the comparison could not have failed."""
+    return None if rows == oracle == [] else rows == oracle
+
+
+def _k_moved(k: int) -> str:
+    """The detail's note of k, empty at the ladder's first rung."""
+    return "" if k == EQUIVALENCE_KS[0] else f", k = {k}"
 
 
 def _naive_sub_box(fam: FormFamily, spec: SearchSpec) -> tuple[SearchSpec, int]:

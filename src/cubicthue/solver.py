@@ -29,18 +29,21 @@ Two independent enumeration paths cover the same box and must agree:
   This is the reduction step of Thue solvers: Tzanakis & de Weger,
   J. Number Theory 31 (1989); Bilu & Hanrot, J. Number Theory 60 (1996).
 
-* `brute_force_oracle` never looks at the roots' enclosures: for each
-  (n, y) it splits the cubic in x into its monotone pieces (the critical
-  points come from the exact integer quadratic F'), discards pieces whose
-  endpoint values exclude the window [-k, k], and binary-searches the
-  window boundaries on the remaining pieces with exact evaluations.  A
-  rough root approximation merely seeds the search; correctness rests on
-  the exact monotone bracketing alone.  `naive=True` forces the literal
-  triple loop for small boxes: every cell of the box is evaluated exactly,
-  by exact forward differences along each row (n, y), where F is a monic
-  cubic in x whose third difference is the constant 6 a0; all rows of the
-  box step together as fixed-width lanes of a few integers (SIMD within a
-  register: Lamport, CACM 18(8), 1975).
+* `brute_force_oracle` never looks at the roots' enclosures.  As
+  F(-x, -y) = -F(x, y), it searches only the rows y > 0 of each index and
+  records every hit with its mirror image.  Along a row, F is an exact
+  integer cubic in x, evaluated by Horner's rule from the row's
+  coefficients a1 y, a2 y^2 and a3 y^3.  The oracle splits it into its
+  monotone pieces (the critical points come from the exact integer
+  quadratic F'), discards pieces whose endpoint values exclude the window
+  [-k, k], and binary-searches the window boundaries on the remaining
+  pieces with exact evaluations.  A rough root approximation merely seeds
+  the search; correctness rests on the exact monotone bracketing alone.
+  `naive=True` forces the literal triple loop for small boxes: every cell
+  of the box is evaluated exactly, by exact forward differences along each
+  row (n, y), where F is a monic cubic in x whose third difference is the
+  constant 6 a0; all rows of the box step together as fixed-width lanes of
+  a few integers (SIMD within a register: Lamport, CACM 18(8), 1975).
 
 Both paths only enumerate, and their records carry no decomposition.  The
 next stage, writing each x - beta_n y as epsilon^ell xi, belongs to
@@ -395,100 +398,104 @@ def solve_box(fam: FormFamily, spec: SearchSpec) -> list[SolutionRecord]:
 # -- oracle -----------------------------------------------------------------------
 
 
-def _window_on_monotone(evaluate, y: int, lo: int, hi: int, k: int,
-                        increasing: bool,
-                        seed: int | None) -> tuple[int, int] | None:
-    """Integer subinterval of [lo, hi] where -k <= F(x, y) <= k.
+def _window(c0: int, c1: int, c2: int, c3: int, lo: int, hi: int, k: int,
+            seed: int) -> tuple[int, int] | None:
+    """Integer subinterval of [lo, hi] where -k <= g(x) <= k, or None, for
+    the integer cubic g(x) = ((c0 x + c1) x + c2) x + c3, increasing on the
+    integers of [lo, hi].
 
-    F is monotone on the integers of [lo, hi]; exact binary searches find
-    the window boundaries.  A seed near the window shrinks the bracket by
-    exact galloping first; a bad seed costs time, never correctness."""
-    if lo > hi:
+    The two end values exclude most pieces: g(hi) < -k first, then
+    g(lo) > k.  Otherwise left, the least x with g(x) >= -k, and right + 1,
+    the least with g(x) >= k + 1 (hi + 1 when there is none), are each
+    bracketed by exact galloping, from the seed clamped to [lo, hi] for left
+    and from left for right, then found by exact binary search.  A bad seed
+    costs time, never correctness."""
+    if lo > hi or ((c0 * hi + c1) * hi + c2) * hi + c3 < -k \
+            or ((c0 * lo + c1) * lo + c2) * lo + c3 > k:
         return None
-    f_lo, f_hi = evaluate(lo, y), evaluate(hi, y)
-    v_min, v_max = (f_lo, f_hi) if increasing else (f_hi, f_lo)
-    if v_min > k or v_max < -k:
-        return None
-    sign = 1 if increasing else -1
-
-    a, b = lo, hi
-    if seed is not None and lo <= seed <= hi:
-        step = 1
-        a = seed
-        while a > lo and sign * evaluate(a, y) >= -k:
-            a = max(lo, seed - step)
-            step <<= 1
-        step = 1
-        b = seed
-        while b < hi and sign * evaluate(b, y) <= k:
-            b = min(hi, seed + step)
-            step <<= 1
-
-    def first_with(pred):  # smallest x in [a, b] satisfying monotone pred
-        u, v = a, b
+    u, s = lo, min(max(seed, lo), hi)
+    firsts = []
+    for t in (-k, k + 1):
+        # every x < u has g(x) < t; v = hi + 1 or g(v) >= t
+        v, step = hi + 1, 1
+        if ((c0 * s + c1) * s + c2) * s + c3 >= t:
+            v = s
+            while s - step > u:
+                x = s - step
+                if ((c0 * x + c1) * x + c2) * x + c3 < t:
+                    u = x + 1
+                    break
+                v, step = x, step << 1
+        else:
+            u = s + 1
+            while s + step <= hi:
+                x = s + step
+                if ((c0 * x + c1) * x + c2) * x + c3 >= t:
+                    v = x
+                    break
+                u, step = x + 1, step << 1
         while u < v:
             m = (u + v) // 2
-            if pred(evaluate(m, y)):
+            if ((c0 * m + c1) * m + c2) * m + c3 >= t:
                 v = m
             else:
                 u = m + 1
-        return u
-
-    left = first_with(lambda t: sign * t >= -k)
-    right = first_with(lambda t: sign * t > k) - 1 \
-        if sign * evaluate(b, y) > k else b
-    if left > right or sign * evaluate(left, y) > k:
-        return None
-    return (left, right)
+        firsts.append(u)
+        s = u  # left <= hi, as g(hi) >= -k
+    left, right = firsts[0], firsts[1] - 1
+    return (left, right) if left <= right else None
 
 
 def _oracle_index(found: dict, spec: SearchSpec, cap: int, n: int,
                   root: Fraction, form: BinaryCubicForm) -> None:
     """Monotone-piece exhaustive search for one index; no enclosures used.
 
-    The derivative 3 a0 x^2 + 2 a1 x y + a2 y^2 is an upward parabola, so
-    the line splits into increasing / decreasing / increasing at the two
-    critical points.  Integer bounds for the pieces come from the exact
-    integer square root; the few integers between the outer and inner
-    bounds around each critical point are evaluated directly.  Each row's
-    galloping starts at floor(root * y), with root the midpoint of beta_n's
-    real image from `_cap` (the real root of F_n(t, 1) within 2^-48): an
-    exact integer seed per row, which only steers the search."""
-    a0, a1, a2, _ = form.coefficients
+    F is homogeneous of odd degree, so F(-x, -y) = -F(x, y), and the box
+    and every test of `_collect` are unchanged by negation: only the rows
+    y = 1..y_max are searched, and each hit (x, y, v) is recorded together
+    with (-x, -y, -v).  Along row y, F(x, y) is the exact integer cubic
+    P(x) = ((a0 x + b1) x + b2) x + b3 with b1 = a1 y, b2 = a2 y^2 and
+    b3 = a3 y^3, computed once per row.
+
+    P' = 3 a0 x^2 + 2 a1 y x + a2 y^2 is an upward parabola, so the row
+    splits into increasing / decreasing / increasing at the two critical
+    points.  Integer bounds for the pieces come from the exact integer
+    square root; the few integers between the outer and inner bounds around
+    each critical point are evaluated directly.  `_window` searches each
+    piece on sign * P, increasing there, starting at floor(root * y), with
+    root the midpoint of beta_n's real image from `_cap` (the real root of
+    F_n(t, 1) within 2^-48): an exact integer seed per row, which only
+    steers the search."""
+    a0, a1, a2, a3 = form.coefficients
     assert a0 > 0, "family forms are monic"
     disc = a1 * a1 - 3 * a0 * a2  # critical points exist iff positive
-    evaluate = form.evaluate
-    for y in range(-spec.y_max, spec.y_max + 1):
-        if y == 0:
-            continue
-        pieces: list[tuple[int, int, bool]] = []
-        direct: list[int] = []
+    k = spec.k
+    for y in range(1, spec.y_max + 1):
+        b1, b2, b3 = a1 * y, a2 * y * y, a3 * y**3
+        seed = root.numerator * y // root.denominator
         if disc > 0:
             s = math.isqrt(disc * y * y)
-            outer_left = (-a1 * y - s - 1) // (3 * a0)
-            inner_left = -((a1 * y + s) // (3 * a0))
-            inner_right = (-a1 * y + s) // (3 * a0)
-            outer_right = -((a1 * y - s - 1) // (3 * a0))
-            pieces.append((-cap, min(outer_left, cap), True))
-            pieces.append((max(inner_left, -cap), min(inner_right, cap), False))
-            pieces.append((max(outer_right, -cap), cap, True))
-            direct.extend(range(max(outer_left + 1, -cap),
-                                min(inner_left, cap + 1)))
-            direct.extend(range(max(inner_right + 1, -cap),
-                                min(outer_right, cap + 1)))
+            outer_left = (-b1 - s - 1) // (3 * a0)
+            inner_left = -((b1 + s) // (3 * a0))
+            inner_right = (-b1 + s) // (3 * a0)
+            outer_right = -((b1 - s - 1) // (3 * a0))
+            windows = [
+                _window(a0, b1, b2, b3, -cap, min(outer_left, cap), k, seed),
+                _window(-a0, -b1, -b2, -b3, max(inner_left, -cap),
+                        min(inner_right, cap), k, seed),
+                _window(a0, b1, b2, b3, max(outer_right, -cap), cap, k, seed)]
+            xs = [*range(max(outer_left + 1, -cap), min(inner_left, cap + 1)),
+                  *range(max(inner_right + 1, -cap), min(outer_right, cap + 1))]
         else:
-            pieces.append((-cap, cap, True))
-        seed = root.numerator * y // root.denominator
-        for lo, hi, increasing in pieces:
-            window = _window_on_monotone(evaluate, y, lo, hi, spec.k,
-                                         increasing,
-                                         seed if increasing else None)
-            if window is None:
-                continue
-            for x in range(window[0], window[1] + 1):
-                _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
-        for x in direct:
-            _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
+            windows = [_window(a0, b1, b2, b3, -cap, cap, k, seed)]
+            xs = []
+        for window in windows:
+            if window is not None:
+                xs.extend(range(window[0], window[1] + 1))
+        for x in xs:
+            v = ((a0 * x + b1) * x + b2) * x + b3
+            _collect(found, spec, cap, n, x, y, v, False)
+            _collect(found, spec, cap, n, -x, -y, -v, False)
     _trivial_axis_solutions(found, spec, cap, n, form, False)
 
 
@@ -580,9 +587,12 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
                        naive: bool = False) -> list[SolutionRecord]:
     """Ground-truth enumeration over the same box as `solve_box`.
 
-    The default path is exhaustive-equivalent: on each monotone piece of the
-    integer cubic it brackets the window |F| <= k by exact binary search, so
-    its output equals a literal scan of every x in the box.  `naive=True`
+    The default path is exhaustive-equivalent: on each monotone piece of
+    the row's integer cubic, evaluated by Horner's rule from coefficients
+    computed once per row, it brackets the window |F| <= k by exact binary
+    search, so its output equals a literal scan of every x in the box.  It
+    searches the rows y > 0 and mirrors each hit by F(-x, -y) = -F(x, y).
+    `naive=True`
     performs that literal scan (use only on small boxes): one `_naive_scan`
     of the whole box, every cell (n, x, y) of every non-degenerate index
     stepped by exact forward differences, all rows together in packed

@@ -3,10 +3,13 @@
 `brute_force_oracle(..., naive=True)` steps every row of the box at once
 by exact forward differences packed into fixed-width lanes of a few
 integers, and unpacks only the lanes whose guard bit marks a value in
-[-k, k].  This reference makes one `form.evaluate(x, y)` call per cell of
-the whole box, the axes and degenerate indices included, and applies the
-rules of a solution itself, so the two agree only if the packed scan skips
-no cell, steps to no wrong value and lets no lane spill into another.
+[-k, k].  The default `brute_force_oracle` searches monotone pieces of the
+rows y > 0 and mirrors each hit to (-x, -y).  This reference makes one
+`form.evaluate(x, y)` call per cell of the whole box, both halves, the axes
+and degenerate indices included, and applies the rules of a solution
+itself, so the packed scan agrees with it only if it skips no cell, steps
+to no wrong value and lets no lane spill into another, and the default
+oracle only if its windows and its mirror lose and invent no row.
 """
 
 from __future__ import annotations

@@ -215,8 +215,8 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "swap_identity" in out
-    assert ("[D=1] ok   fundamentality: certificate: proved_fundamental"
-            in out.splitlines())
+    assert ("[D=1] ok   fundamentality: certificate: proved_fundamental in "
+            "Z[g]" in out.splitlines())
     # the literal loop covers the whole y_max = 30 box of D = 1
     assert ("[D=1] ok   naive_oracle_equivalence: literal triple loop, "
             "y_max' = 30, 5522580 cells" in out.splitlines())
@@ -264,7 +264,20 @@ def test_verify_sub_box_embeds_each_index_once(monkeypatch, capsys):
     assert during == {1: 7}
 
 
-def test_verify_naive_oracle_equivalence_can_fail(monkeypatch, capsys):
+# the boxes of verify's equivalence checks: D = 1 has rows at the ladder's
+# first k = 5, while D = 2 and D = 3 have none there and move to k = 20
+NAIVE_BOXES = {
+    1: "y_max' = 30, 5522580 cells",
+    2: "y_max' = 2, 2723084 cells, k = 20",
+    3: "y_max' = 1, 15622810 cells, over the 6000000-cell budget, k = 20",
+}
+SOLVER_BOXES = {1: "11 solutions, y_max = 30",
+                2: "23 solutions, y_max = 30, k = 20",
+                3: "3 solutions, y_max = 30, k = 20"}
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_verify_naive_oracle_equivalence_can_fail(D, monkeypatch, capsys):
     # a literal scan that loses one solution must fail the check
     real = cubicthue.cli.brute_force_oracle
 
@@ -273,11 +286,23 @@ def test_verify_naive_oracle_equivalence_can_fail(monkeypatch, capsys):
         return records[1:] if naive else records
 
     monkeypatch.setattr(cubicthue.cli, "brute_force_oracle", lossy)
-    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    code, out, err = run_cli(capsys, "verify", "--D", str(D))
     assert code == 5
-    assert ("[D=1] FAIL naive_oracle_equivalence: literal triple loop, "
-            "y_max' = 30, 5522580 cells" in out.splitlines())
+    assert (f"[D={D}] FAIL naive_oracle_equivalence: literal triple loop, "
+            f"{NAIVE_BOXES[D]}" in out.splitlines())
     assert "naive_oracle_equivalence" in err
+
+
+def test_verify_empty_equivalence_is_info(monkeypatch, capsys):
+    # a comparison of two empty row sets cannot fail, so it is info, not ok:
+    # at k = 1 neither D = 3 box holds a row
+    monkeypatch.setattr(cubicthue.cli, "EQUIVALENCE_KS", (1,))
+    code, out, _ = run_cli(capsys, "verify", "--D", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert "[D=3] info solver_equivalence: 0 solutions, y_max = 30" in lines
+    naive, = (line for line in lines if "naive_oracle_equivalence" in line)
+    assert naive.startswith("[D=3] info naive_oracle_equivalence: ")
 
 
 def test_verify_unknown_fundamentality_is_info(monkeypatch, capsys):
@@ -291,13 +316,16 @@ def test_verify_unknown_fundamentality_is_info(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--D", "1")
     assert code == 0
     assert "FAIL" not in out
-    assert "[D=1] info fundamentality: certificate: unknown" in out.splitlines()
+    assert ("[D=1] info fundamentality: certificate: unknown in Z[g]"
+            in out.splitlines())
 
 
 def test_verify_deep_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--D", "1", "--deep")
     assert code == 0
     assert "FAIL" not in out
+    assert ("[D=1] ok   solver_equivalence: 12 solutions, y_max = 1000"
+            in out.splitlines())
     assert ("[D=1] ok   sine_calibration: c2 = 1.514509, skipped = 1"
             in out.splitlines())
 
@@ -339,7 +367,8 @@ def test_verify_unit_reduction_can_fail(monkeypatch, capsys):
     assert "unit_reduction" in err
 
 
-def test_verify_solver_equivalence_can_fail(monkeypatch, capsys):
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_verify_solver_equivalence_can_fail(D, monkeypatch, capsys):
     # a pruned solver that drops a row disagrees with the oracle
     real = cubicthue.cli.solve_box
 
@@ -347,9 +376,24 @@ def test_verify_solver_equivalence_can_fail(monkeypatch, capsys):
         return real(*args, **kwargs)[1:]
 
     monkeypatch.setattr(cubicthue.cli, "solve_box", lossy)
-    code, out, err = run_cli(capsys, "verify", "--D", "1")
+    code, out, err = run_cli(capsys, "verify", "--D", str(D))
     assert code == 5
-    assert ("[D=1] FAIL solver_equivalence: 11 solutions, y_max = 30"
+    assert (f"[D={D}] FAIL solver_equivalence: {SOLVER_BOXES[D]}"
+            in out.splitlines())
+    assert "solver_equivalence" in err
+
+
+def test_verify_deep_solver_equivalence_can_fail(monkeypatch, capsys):
+    # an oracle that drops one row of the y_max = 1000 box fails --deep
+    real = cubicthue.cli.brute_force_oracle
+
+    def lossy(*args, **kwargs):
+        return real(*args, **kwargs)[1:]
+
+    monkeypatch.setattr(cubicthue.cli, "brute_force_oracle", lossy)
+    code, out, err = run_cli(capsys, "verify", "--D", "1", "--deep")
+    assert code == 5
+    assert ("[D=1] FAIL solver_equivalence: 12 solutions, y_max = 1000"
             in out.splitlines())
     assert "solver_equivalence" in err
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import mpmath
 import pytest
 
-from cubicthue import solver
+from cubicthue import intervals, solver
+from cubicthue.cubicfield import FieldElement
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.family import BinaryCubicForm, family_from_json, form_at
 from cubicthue.solver import (
@@ -83,6 +84,47 @@ def test_oracle_trivial_pairs_included_when_requested(fam1):
     assert keys == naive
     pruned = record_keys(solve_box(fam1, spec))
     assert keys == pruned
+
+
+def test_oracle_finds_the_decreasing_piece_witness(fam1):
+    # F_0(-1, 3) = -10 lies on the decreasing middle piece of row y = 3,
+    # between the critical points x = 3 (1 -+ sqrt 2); a search that tests
+    # the wrong end of that piece loses it and 11 more of this box's 74 rows
+    # (28 of the 204 rows at n in [-3, 3])
+    spec = SearchSpec(k=100, n_lo=0, n_hi=0, y_max=300)
+    keys = record_keys(brute_force_oracle(fam1, spec))
+    assert (0, -1, 3, -10) in keys
+    assert (0, 1, -3, 10) in keys
+
+
+@pytest.mark.parametrize("exclude_trivial", [True, False])
+def test_oracle_symmetry_closure(fam1, exclude_trivial):
+    # the oracle searches the rows y > 0 and records each hit with its image
+    # under F(-x, -y) = -F(x, y)
+    spec = SearchSpec(k=100, n_lo=-3, n_hi=3, y_max=300,
+                      exclude_trivial=exclude_trivial)
+    keys = set(record_keys(brute_force_oracle(fam1, spec)))
+    assert any(y < 0 for _, _, y, _ in keys)
+    for (n, x, y, v) in keys:
+        assert (n, -x, -y, -v) in keys
+
+
+def test_oracle_index_reads_no_enclosure(fam1, monkeypatch):
+    # once `_box` has set the box up, each index is searched in exact
+    # integers alone: no embedding and no refinement of an enclosure
+    spec = SearchSpec(k=100, n_lo=-3, n_hi=3, y_max=300)
+    expected = record_keys(brute_force_oracle(fam1, spec))
+    found, cap, rows = solver._box(fam1, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read an enclosure")
+
+    monkeypatch.setattr(FieldElement, "embed", refuse)
+    monkeypatch.setattr(intervals, "refine", refuse)
+    monkeypatch.setattr(solver, "refine", refuse)
+    for n, _, form, root in rows:
+        solver._oracle_index(found, spec, cap, n, root, form)
+    assert record_keys(solver._finish(found)) == expected
 
 
 # -- solve_box ----------------------------------------------------------------

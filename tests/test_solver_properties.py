@@ -1,5 +1,5 @@
-"""Property tests on random families: `solve_box` equals the oracles, the
-naive oracle equals a per-cell reference scan, family JSON round-trips,
+"""Property tests on random families: `solve_box` equals the oracles, both
+oracles equal a per-cell reference scan, family JSON round-trips,
 `unit_reduce` reconstructs with balanced conjugates and equals the
 certified-t reference, and the identity checks of `trace_certificate` hold
 on the solutions found.
@@ -103,17 +103,28 @@ def test_solve_box_equals_naive_oracle_on_tiny_boxes(fam, spec):
     assert pruned == naive
 
 
-def _naive_equals_reference(fam, spec):
-    """Compare on `spec`, then again with k lowered to the largest |F| found,
-    so that a solution sits on the boundary |F| = k; returns the first
-    reference."""
+def _equals_reference(fam, spec, naive=True):
+    """Compare the oracle with the per-cell reference on `spec`, then again
+    with k lowered to the largest |F| found, so that a solution sits on the
+    boundary |F| = k; returns the first reference."""
     reference = per_cell_reference(fam, spec)
-    assert brute_force_oracle(fam, spec, naive=True) == reference
+    assert brute_force_oracle(fam, spec, naive=naive) == reference
     if reference:
         edge = replace(spec, k=max(abs(r.value) for r in reference))
-        naive = brute_force_oracle(fam, edge, naive=True)
-        assert naive == per_cell_reference(fam, edge)
+        oracle = brute_force_oracle(fam, edge, naive=naive)
+        assert oracle == per_cell_reference(fam, edge)
     return reference
+
+
+@settings(deadline=None, max_examples=40)
+@given(fam=families(), spec=boxes(k_max=100, n_abs=1, y_max=12))
+@example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=5))
+def test_oracle_equals_per_cell_reference(fam, spec):
+    # the monotone-piece oracle searches the rows y > 0 and mirrors each hit;
+    # the reference evaluates every cell of both half boxes
+    for exclude_trivial in (True, False):
+        _equals_reference(fam, replace(spec, exclude_trivial=exclude_trivial),
+                          naive=False)
 
 
 @settings(deadline=None, max_examples=25)
@@ -122,7 +133,7 @@ def _naive_equals_reference(fam, spec):
 @example(fam=CAP_WITNESS, spec=SearchSpec(k=200, n_lo=-10, n_hi=-10, y_max=5))
 def test_naive_oracle_equals_per_cell_reference(fam, spec):
     for exclude_trivial in (True, False):
-        _naive_equals_reference(fam, replace(spec,
+        _equals_reference(fam, replace(spec,
                                              exclude_trivial=exclude_trivial))
 
 
@@ -136,7 +147,7 @@ def test_naive_oracle_equals_per_cell_reference_with_degenerate_index(D):
     specs += [SearchSpec(k=1, n_lo=n, n_hi=n, y_max=1) for n in range(-3, 2)]
     for spec in specs:
         for exclude_trivial in (True, False):
-            reference = _naive_equals_reference(
+            reference = _equals_reference(
                 fam, replace(spec, exclude_degenerate=False,
                              exclude_trivial=exclude_trivial))
             if spec.n_lo <= -1 <= spec.n_hi:
@@ -149,7 +160,7 @@ def test_naive_oracle_equals_per_cell_reference_on_long_rows():
     # x = 0, some 2,600 forward-difference steps into its row
     fam = example_family(1)
     spec = SearchSpec(k=500, n_lo=3, n_hi=3, y_max=12)
-    reference = _naive_equals_reference(fam, spec)
+    reference = _equals_reference(fam, spec)
     assert len(reference) == 8
 
 
