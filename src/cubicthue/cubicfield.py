@@ -421,6 +421,19 @@ class FieldElement:
         return refine(step, bits_for_width(target),
                       "embedding refinement stalled")
 
+    def real_image(self, bits: int) -> RI:
+        """Enclosure of the real image, of width at most 2^-bits.
+
+        The same refinement as `embed` on the real root cell alone."""
+        target = Fraction(1, 1 << bits)
+
+        def step(b: int) -> RI | None:
+            real = self._at(self.field.real_root(b))
+            return real if real.width <= target else None
+
+        return refine(step, bits_for_width(target),
+                      "embedding refinement stalled")
+
 
 # -- splitting field -----------------------------------------------------------
 

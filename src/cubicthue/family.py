@@ -160,7 +160,7 @@ def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
         raise NotAUnit(f"epsilon has norm {epsilon.norm()}")
 
     def exceeds_one(bits: int) -> bool | None:
-        real = epsilon.embed(Fraction(1, 1 << bits))[0]
+        real = epsilon.real_image(bits)
         if real.hi <= 1:
             raise NotAUnit("epsilon is not > 1 in the real embedding")
         return True if real.lo > 1 else None

@@ -20,9 +20,12 @@ either, it is rounded at `MAX_BITS` bits relative to its size, finer than
 any certified loop may ask for.
 
 Transcendental enclosures (log, exp, sin, cos, atan2, sqrt, n-th root, pi)
-are delegated to mpmath's interval context at a caller-chosen binary
-precision; mantissas pass to and from its (sign, man, exp) tuples directly,
-rounded outward, so every returned interval is a true enclosure.
+come from libmp's interval primitives (`mpi_log`, ..., `mpf_pi`), the
+functions that mpmath's `iv` context wraps, called directly at a
+caller-chosen binary precision plus `GUARD_BITS`: no context object and no
+global precision state.  Mantissas pass to and from their (sign, man, exp)
+tuples directly, rounded outward, so every returned interval is a true
+enclosure.
 """
 
 from __future__ import annotations
@@ -31,8 +34,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar, Union
 
-from mpmath import iv
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_pi,
+    mpi_atan2,
+    mpi_cos,
+    mpi_exp,
+    mpi_log,
+    mpi_sin,
+    mpi_sqrt,
+    round_ceiling,
+    round_floor,
+)
 
 from .errors import PrecisionExhausted
 
@@ -40,7 +53,7 @@ Rat = Union[int, Fraction]
 T = TypeVar("T")
 
 # Guard bits added on top of any requested working precision before calling
-# into mpmath, so that its own final rounding never eats the target width.
+# into libmp, so that its own final rounding never eats the target width.
 GUARD_BITS = 8
 
 # Bits kept below an interval's width when its endpoints are rounded after
@@ -412,16 +425,16 @@ class RI:
         return _make(min(a, c), min(b, d), e)
 
 
-# -- mpmath bridge -----------------------------------------------------------
+# -- libmp bridge -------------------------------------------------------------
 
 
-def _to_iv(x: RI, prec: int):
-    return iv.make_mpf((from_man_exp(x._a, x._e, prec, round_floor),
-                        from_man_exp(x._b, x._e, prec, round_ceiling)))
+def _to_mpi(x: RI, prec: int):
+    return (from_man_exp(x._a, x._e, prec, round_floor),
+            from_man_exp(x._b, x._e, prec, round_ceiling))
 
 
-def _from_iv(v) -> RI:
-    (sa, ma, ea, _), (sb, mb, eb, _) = v._mpi_
+def _from_mpi(v) -> RI:
+    (sa, ma, ea, _), (sb, mb, eb, _) = v
     if (not ma and ea) or (not mb and eb):
         raise OverflowError("non-finite mpmath value")
     a, b = int(ma), int(mb)
@@ -436,28 +449,20 @@ def _from_iv(v) -> RI:
 
 
 def _call_iv(fn, args, prec: int) -> RI:
-    old = iv.prec
-    try:
-        iv.prec = prec + GUARD_BITS
-        converted = [_to_iv(a, prec + GUARD_BITS) for a in args]
-        return _from_iv(fn(*converted))
-    finally:
-        iv.prec = old
+    """libmp's interval function `fn` over `args` at prec + GUARD_BITS."""
+    prec += GUARD_BITS
+    return _from_mpi(fn(*[_to_mpi(a, prec) for a in args], prec))
 
 
 def ri_pi(bits: int) -> RI:
-    old = iv.prec
-    try:
-        iv.prec = bits + GUARD_BITS
-        return _from_iv(+iv.pi)
-    finally:
-        iv.prec = old
+    prec = bits + GUARD_BITS
+    return _from_mpi((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)))
 
 
 def ri_sqrt(x: RI, bits: int) -> RI:
     if x._a < 0:
         raise ValueError(f"sqrt of interval {x} with negative part")
-    return _call_iv(iv.sqrt, (x,), bits)
+    return _call_iv(mpi_sqrt, (x,), bits)
 
 
 def ri_root(x: RI, n: int, bits: int) -> RI:
@@ -478,19 +483,19 @@ def ri_root(x: RI, n: int, bits: int) -> RI:
 def ri_log(x: RI, bits: int) -> RI:
     if x._a <= 0:
         raise ValueError(f"log of interval {x} not strictly positive")
-    return _call_iv(iv.log, (x,), bits)
+    return _call_iv(mpi_log, (x,), bits)
 
 
 def ri_exp(x: RI, bits: int) -> RI:
-    return _call_iv(iv.exp, (x,), bits)
+    return _call_iv(mpi_exp, (x,), bits)
 
 
 def ri_sin(x: RI, bits: int) -> RI:
-    return _call_iv(iv.sin, (x,), bits)
+    return _call_iv(mpi_sin, (x,), bits)
 
 
 def ri_cos(x: RI, bits: int) -> RI:
-    return _call_iv(iv.cos, (x,), bits)
+    return _call_iv(mpi_cos, (x,), bits)
 
 
 def ri_atan2(y: RI, x: RI, bits: int) -> RI:
@@ -500,7 +505,7 @@ def ri_atan2(y: RI, x: RI, bits: int) -> RI:
     whose terms it takes to nearest at 4 extra bits, so an endpoint can miss
     the true angle by up to 2^-p at its precision p; each is moved out by
     2^(1-p)."""
-    r = _call_iv(iv.atan2, (y, x), bits)
+    r = _call_iv(mpi_atan2, (y, x), bits)
     g = 1 - bits - GUARD_BITS
     e = min(r._e, g)
     pad = 1 << (g - e)

@@ -9,17 +9,19 @@ epsilon^ell * xi = gamma is exact.
 The exponent is guessed, then certified.  With
 dev = log|xi| - (1/3) log m for xi = epsilon^-ell * gamma (real images),
 t - ell = dev / R, so ell is the nearest integer to t exactly when
-|dev| < R/2; the two complex conjugates of xi then sit at half that
-log-distance on the other side, since their modulus squared times |xi|
-equals m.  The guess is float arithmetic on the complex image gamma': the
-real image of x - beta_n y nearly cancels at a solution, gamma' does not,
-and log|gamma| = log m - 2 log|gamma'|.  The balance enclosure of xi then
-decides the guess: a dev certified inside (-R/2, R/2) keeps ell, one
-certified outside moves ell by the rounded dev / R and starts again, so a
-wrong guess costs a retry and never a wrong exponent.  An exact halfway
-point t = h + 1/2, decided by the sixth-power identity `_is_exact_tie`,
-goes to the smaller index h: dev = R/2 keeps ell, dev = -R/2 moves it down
-by one.  When dev straddles +-R/2 and no tie holds, the precision doubles.
+|dev| < R/2.  The norm identity |xi| * |xi'|^2 = |N(xi)| = m is exact, so
+each complex conjugate of xi deviates by exactly -dev/2: the balance, the
+largest deviation over the three embeddings, is |dev|, and one real image
+and one logarithm per working precision certify it.  The guess is float
+arithmetic on the complex image gamma': the real image of x - beta_n y
+nearly cancels at a solution, gamma' does not, and
+log|gamma| = log m - 2 log|gamma'|.  The enclosure of dev then decides the
+guess: a dev certified inside (-R/2, R/2) keeps ell, one certified outside
+moves ell by the rounded dev / R and starts again, so a wrong guess costs a
+retry and never a wrong exponent.  An exact halfway point t = h + 1/2,
+decided by the sixth-power identity `_is_exact_tie`, goes to the smaller
+index h: dev = R/2 keeps ell, dev = -R/2 moves it down by one.  When dev
+straddles +-R/2 and no tie holds, the precision doubles.
 
 R and (1/3) log m per working precision, and epsilon^ell per exponent,
 come from the family (`FormFamily.at`, `FormFamily.unit_power`), so every
@@ -86,10 +88,10 @@ def unit_reduce(fam: FormFamily, gamma: FieldElement) -> Decomposition:
 
     ell is the nearest integer to t, the smaller one at an exact halfway
     point; it is guessed in floats and certified from the balance enclosure
-    (module docstring).  The balance is max over the three embeddings of
-    |log(|embedding of xi| / m^(1/3))|, at the first precision from
-    `DEFAULT_BITS` upwards, doubling, where its width is at most
-    `DEFAULT_PRECISION`."""
+    (module docstring).  The balance, max over the three embeddings of
+    |log(|embedding of xi| / m^(1/3))|, is |dev| by the norm identity, from
+    the real image of xi alone, at the first precision from `DEFAULT_BITS`
+    upwards, doubling, where its width is at most `DEFAULT_PRECISION`."""
     if gamma.is_zero():
         raise ZeroElement("cannot reduce zero")
     m = abs(gamma.norm())
@@ -116,20 +118,17 @@ def _certify_step(fam: FormFamily, gamma: FieldElement, ell: int,
 
     def step(bits: int) -> tuple[int, RI | None] | None:
         nonlocal first
-        real, cplx = xi.embed(Fraction(1, 1 << bits))
-        cabs2 = cplx.abs2()
-        if not abs(real).is_positive() or not cabs2.is_positive():
+        real = abs(xi.real_image(bits))
+        if not real.is_positive():
             return None
         images = fam.at(bits)
-        log_m3 = images.log_m3(m)
-        dev = ri_log(abs(real), bits) - log_m3
-        if first is None:
-            balance = abs(dev).max_with(abs(ri_log(cabs2, bits) / 2 - log_m3))
-            if balance.width <= DEFAULT_PRECISION:
-                first = balance
+        dev = ri_log(real, bits) - images.log_m3(m)
+        balance = abs(dev)
+        if first is None and balance.width <= DEFAULT_PRECISION:
+            first = balance
         reg = images.log_eps
         half = reg / 2
-        if abs(dev).certainly_lt(half):
+        if balance.certainly_lt(half):
             return None if first is None else (0, first)
         if half.certainly_lt(dev):
             return max(1, round(dev.mid / reg.mid)), None

@@ -355,6 +355,8 @@ def test_field_arithmetic_matches_fraction_reference(field, xc, yc, s, n, bits):
         _assert_matches((y / x) * x, ry)
     width = Fraction(1, 1 << bits)
     assert x.embed(width) == reference_embed(field, rx, width)
+    real = x.real_image(bits)
+    assert real.width <= width and real.overlaps(x.embed(width)[0])
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,14 +1,29 @@
 """Interval layer: outward-rounded dyadic ring ops, certified enclosures."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
+from mpmath.libmp import (
+    from_man_exp,
+    mpi_atan2,
+    mpi_cos,
+    mpi_exp,
+    mpi_log,
+    mpi_sin,
+    mpi_sqrt,
+    round_ceiling,
+    round_floor,
+)
 
+from cubicthue import intervals
 from cubicthue.errors import PrecisionExhausted
 from cubicthue.family import example_family
 from cubicthue.intervals import (
@@ -386,3 +401,67 @@ def test_bridge_contains_mpmath_at_twice_the_precision(xs, bits):
                             prec)
         assert _contains_mp(ri_sqrt(x, bits), _mp_value(mpmath.sqrt, x, prec),
                             prec)
+
+
+# -- the libmp bridge against mpmath's iv context --------------------------------
+
+_IV = {mpi_log: iv.log, mpi_exp: iv.exp, mpi_sin: iv.sin, mpi_cos: iv.cos,
+       mpi_sqrt: iv.sqrt, mpi_atan2: iv.atan2}
+
+
+@contextlib.contextmanager
+def _iv_prec(prec: int):
+    old = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def _mpf(v: Fraction, prec: int, rounding):
+    """A dyadic rational as a libmp value, rounded at `prec` bits."""
+    return from_man_exp(v.numerator, 1 - v.denominator.bit_length(), prec,
+                        rounding)
+
+
+def _call_through_iv(fn, args, bits):
+    """`intervals._call_iv` by way of the `iv` context at its precision."""
+    prec = bits + GUARD_BITS
+    with _iv_prec(prec):
+        converted = [iv.make_mpf((_mpf(a.lo, prec, round_floor),
+                                  _mpf(a.hi, prec, round_ceiling)))
+                     for a in args]
+        return intervals._from_mpi(_IV[fn](*converted)._mpi_)
+
+
+def _bridged(x: RI, y: RI, bits: int) -> list[RI]:
+    results = [ri_sin(x, bits), ri_cos(x, bits), ri_atan2(y, x, bits)]
+    if abs(x).hi < 2**20:
+        results.append(ri_exp(x, bits))
+    if x.is_positive():
+        results += [ri_log(x, bits), ri_sqrt(x, bits), ri_root(x, 3, bits)]
+    return results
+
+
+@st.composite
+def _dyadic_intervals(draw):
+    a = draw(st.integers(-2**80, 2**80))
+    b = a + draw(st.integers(0, 2**80))
+    return RI.dyadic(a, b, draw(st.integers(-160, -40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dyadic_intervals(), _dyadic_intervals(), st.integers(24, 400))
+def test_bridge_equals_the_iv_context(x, y, bits):
+    # every transcendental enclosure equals the one that mpmath's iv context
+    # gives at bits + GUARD_BITS, endpoint for endpoint, and the global
+    # iv.prec is left as it was
+    with _iv_prec(37):
+        direct = _bridged(x, y, bits) + [ri_pi(bits)]
+        assert iv.prec == 37
+    with mock.patch.object(intervals, "_call_iv", _call_through_iv):
+        through_iv = _bridged(x, y, bits)
+    with _iv_prec(bits + GUARD_BITS):
+        through_iv.append(intervals._from_mpi((+iv.pi)._mpi_))
+    assert direct == through_iv

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubicthue.cubicfield import DEFAULT_PRECISION
+from cubicthue import family
+from cubicthue.cubicfield import DEFAULT_PRECISION, FieldElement
 from cubicthue.errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
 from cubicthue.family import make_family
 from cubicthue.heights import regulator
@@ -187,6 +188,51 @@ def test_wrong_guess_gives_the_same_decomposition(fam1, monkeypatch, offset):
     assert [unit_reduce(fam1, gamma) for gamma in gammas] == expected
     assert len(calls) == len(gammas)
     assert expected == [reference_unit_reduce(fam1, gamma) for gamma in gammas]
+
+
+def test_each_certification_step_takes_one_log_and_no_embedding(
+        fam1, monkeypatch):
+    # by the norm identity the balance is |dev| from the real image alone:
+    # one ri_log per certification step, one more per new norm in log_m3,
+    # and never the complex image, also over wrong guesses
+    gammas = _box_gammas(fam1)
+    fam = make_family(fam1.field, fam1.alpha, fam1.epsilon)  # an empty memo
+    for bits in (BITS, 2 * BITS, 4 * BITS):
+        fam.at(bits)
+    calls = {"log": 0, "norm_log": 0, "embed": 0}
+    steps = []  # (bits, m) of every certification step
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def recording_certify_step(fam, gamma, ell, xi, m,
+                               certify=reduction._certify_step):
+        step = certify(fam, gamma, ell, xi, m)
+
+        def recorded(bits):
+            steps.append((bits, m))
+            return step(bits)
+        return recorded
+
+    monkeypatch.setattr(reduction, "_certify_step", recording_certify_step)
+    monkeypatch.setattr(reduction, "ri_log", counting("log", reduction.ri_log))
+    monkeypatch.setattr(family, "ri_log", counting("norm_log", family.ri_log))
+    monkeypatch.setattr(FieldElement, "embed",
+                        counting("embed", FieldElement.embed))
+    guess = reduction._guess
+    for offset in (0, 3):
+        monkeypatch.setattr(reduction, "_guess",
+                            lambda fam, g, m, offset=offset:
+                            guess(fam, g, m) + offset)
+        for gamma in gammas:
+            unit_reduce(fam, gamma)
+    assert calls == {"log": len(steps), "norm_log": len(set(steps)),
+                     "embed": 0}
+    # one step per right guess; a guess off by 3 takes one move and one more
+    assert len(steps) == 3 * len(gammas)
 
 
 @pytest.mark.parametrize("h", range(-3, 4))
