@@ -1,19 +1,26 @@
-"""Exception hierarchy for the cubicthue package."""
+"""Exception hierarchy; `cli.main` gives each family one exit code:
+`InvalidParameter` with its subclasses (`NonMonic`, `ReduciblePolynomial`,
+`TotallyReal`, `NotAUnit`) 2, or 5 under `verify`; `PrecisionExhausted` 3;
+`NotASolution`, `DegenerateN`, `TrivialXY` and `ZeroValue` 4."""
 
 
 class CubicThueError(Exception):
     """Base class for all package errors."""
 
 
-class NonMonic(CubicThueError):
+class InvalidParameter(CubicThueError):
+    """Parameter outside the documented domain."""
+
+
+class NonMonic(InvalidParameter):
     """Defining polynomial must have leading coefficient 1."""
 
 
-class ReduciblePolynomial(CubicThueError):
+class ReduciblePolynomial(InvalidParameter):
     """Cubic has a rational root, hence is reducible over Q."""
 
 
-class TotallyReal(CubicThueError):
+class TotallyReal(InvalidParameter):
     """Cubic has three real roots (positive discriminant)."""
 
 
@@ -46,12 +53,8 @@ class DegenerateAngle(CubicThueError):
     """Angle combination lies in Z*pi, where the sine lower bound is void."""
 
 
-class NotAUnit(CubicThueError):
+class NotAUnit(InvalidParameter):
     """Element is not a unit of the ring of integers (|norm| != 1)."""
-
-
-class InvalidParameter(CubicThueError):
-    """Parameter outside the documented domain."""
 
 
 class PrecisionExhausted(CubicThueError):

@@ -32,12 +32,11 @@ from .cubicfield import (
     CubicField,
     FieldElement,
     SplittingAlgebra,
-    has_rational_root,
     make_field,
 )
 from .errors import InvalidParameter, NotAUnit
 from .intervals import RI, refine, ri_log, ri_sqrt
-from .reporting import frac_str
+from .reporting import coords_json
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,12 +55,6 @@ class BinaryCubicForm:
     def evaluate(self, x: int, y: int) -> int:
         return (self.a0 * x**3 + self.a1 * x * x * y
                 + self.a2 * x * y * y + self.a3 * y**3)
-
-    def is_irreducible(self) -> bool:
-        """Reducibility of a cubic over Q reduces to having a rational root."""
-        if self.a0 == 0:
-            return False
-        return not has_rational_root(self.coefficients)
 
     def swapped(self) -> "BinaryCubicForm":
         """G(X, Y) = F(Y, X): coefficient reversal.
@@ -153,9 +146,12 @@ class FamilyImages:
 
 def make_family(field: CubicField, alpha: FieldElement, epsilon: FieldElement,
                 D: int | None = None) -> FormFamily:
-    """Validated family constructor."""
+    """Validated family constructor.  alpha must generate K: for a rational
+    alpha every F_n would be a perfect cube."""
     if not alpha.is_integral():
         raise InvalidParameter("alpha must be an algebraic integer")
+    if alpha.is_rational():
+        raise InvalidParameter("alpha must generate the field, not be rational")
     if abs(epsilon.norm()) != 1 or not epsilon.is_integral():
         raise NotAUnit(f"epsilon has norm {epsilon.norm()}")
 
@@ -254,16 +250,12 @@ def swap_identity_check(fam: FormFamily, n: int) -> tuple[bool, dict]:
 # -- serialization ---------------------------------------------------------------
 
 
-def _coords_json(el: FieldElement) -> list[str]:
-    return [frac_str(c) for c in el.coords]
-
-
 def family_to_json(fam: FormFamily) -> str:
     record = {
         "schema": 1,
         "min_poly": list(fam.field.min_poly),
-        "alpha": _coords_json(fam.alpha),
-        "epsilon": _coords_json(fam.epsilon),
+        "alpha": coords_json(fam.alpha),
+        "epsilon": coords_json(fam.epsilon),
     }
     if fam.D is not None:
         record["D"] = fam.D

@@ -33,13 +33,9 @@ class HeightReport:
 def to_int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
     """Primitive integer polynomial proportional to the given one."""
     fracs = [Fraction(c) for c in coeffs]
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in fracs))
     ints = [int(c * lcm) for c in fracs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
+    content = math.gcd(*ints)
     return [c // content for c in ints]
 
 

@@ -398,9 +398,10 @@ class RI:
             return -self
         return _make(0, max(-a, b), self._e)
 
-    def pow_int(self, n: int) -> "RI":
+    def pow_int(self, n: int):
+        """Integer power by square-and-multiply; `CBox` shares this body."""
         if n == 0:
-            return RI.point(1)
+            return type(self).point(1)
         if n < 0:
             return self.pow_int(-n).recip()
         result = None
@@ -595,22 +596,10 @@ class CBox:
     def __rtruediv__(self, other) -> "CBox":
         return self._coerce(other) * self.recip()
 
-    def pow_int(self, n: int) -> "CBox":
-        """Integer power by binary exponentiation."""
-        if n == 0:
-            return CBox.point(1)
-        if n < 0:
-            return self.pow_int(-n).recip()
-        result = None
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+    def sqr(self) -> "CBox":
+        return self * self
+
+    pow_int = RI.pow_int
 
     def arg(self, bits: int) -> RI:
         """Principal argument enclosure, in [-pi, pi].

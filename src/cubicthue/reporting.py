@@ -10,6 +10,7 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 
+from .cubicfield import FieldElement
 from .intervals import CBox, RI
 
 
@@ -23,20 +24,20 @@ def _ratio_to_decimal(num: int, den: int, digits: int, rounding: str) -> str:
     return str(d)
 
 
-def frac_to_decimal(f: Fraction, digits: int = 40,
-                    rounding: str = decimal.ROUND_HALF_EVEN) -> str:
-    return _ratio_to_decimal(f.numerator, f.denominator, digits, rounding)
-
-
 def frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def coords_json(el: FieldElement) -> list[str]:
+    return [frac_str(c) for c in el.coords]
 
 
 def ri_json(x: RI, digits: int = 40) -> dict:
     """`mid` to `digits` significant digits and `rad` rounded up to 3, so
     that mid +- rad contains x: `rad` covers the rounding error of `mid`."""
     m, r = x.mid, x.rad
-    mid = frac_to_decimal(m, digits)
+    mid = _ratio_to_decimal(m.numerator, m.denominator, digits,
+                            decimal.ROUND_HALF_EVEN)
     p, q = decimal.Decimal(mid).as_integer_ratio()
     # r + |p/q - m| on the denominator q * m.denominator * r.denominator, in
     # integers: Fraction arithmetic would cost a gcd per operation

@@ -45,8 +45,9 @@ Two independent enumeration paths cover the same box and must agree:
   constant 6 a0; all rows of the box step together as fixed-width lanes of
   a few integers (SIMD within a register: Lamport, CACM 18(8), 1975).
 
-Both paths only enumerate, and their records carry no decomposition.  The
-next stage, writing each x - beta_n y as epsilon^ell xi, belongs to
+Both paths only enumerate, and their records carry no decomposition; their
+`degenerate` flag (beta_n rational) is read off the index.  The next stage,
+writing each x - beta_n y as epsilon^ell xi, belongs to
 `reduction.decompose_solution`, which `cli.cmd_solve` calls on the rows it
 prints.
 """
@@ -63,7 +64,7 @@ from .errors import PrecisionExhausted
 from .family import BinaryCubicForm, FormFamily, norm_form
 from .intervals import CBox, RI, refine
 from .reduction import Decomposition
-from .reporting import frac_str, ri_json
+from .reporting import coords_json, ri_json
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +109,7 @@ class SolutionRecord:
             out["degenerate"] = True
         if self.decomposition is not None:
             out["ell"] = self.decomposition.ell
-            out["xi1"] = [frac_str(c) for c in self.decomposition.xi.coords]
+            out["xi1"] = coords_json(self.decomposition.xi)
             out["balance"] = ri_json(self.decomposition.balance, 20)
         return out
 
@@ -166,10 +167,10 @@ def _cap(fam: FormFamily, spec: SearchSpec,
 def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, int, list]:
     """The setup both enumerations share: (found, cap, rows).
 
-    The degenerate indices are enumerated exactly into `found` when kept,
-    and `rows` lists (n, beta_n, F_n, root) for the others, with root the
-    midpoint of beta_n's real image from `_cap`.  With k = 0 no value
-    qualifies: the box is empty."""
+    `found` maps (n, x, y) to F_n(x, y).  The degenerate indices (beta_n
+    rational) are enumerated exactly into it when kept, and `rows` lists
+    (n, beta_n, F_n, root) for all the others, with root the midpoint of
+    beta_n's real image from `_cap`.  With k = 0 the box is empty."""
     found: dict = {}
     if spec.k == 0:
         return found, 0, []
@@ -182,30 +183,32 @@ def _box(fam: FormFamily, spec: SearchSpec) -> tuple[dict, int, list]:
             rows.append((n, beta, form, roots[n]))
         elif not spec.exclude_degenerate:
             _degenerate_lines(found, spec, cap, n, beta, form)
-            _trivial_axis_solutions(found, spec, cap, n, form, True)
+            _trivial_axis_solutions(found, spec, cap, n, form)
     return found, cap, rows
 
 
-def _finish(found: dict) -> list[SolutionRecord]:
-    """The records of `found`, sorted by (n, y, x)."""
+def _finish(found: dict, rows: list) -> list[SolutionRecord]:
+    """The records of `found`, sorted by (n, y, x); those of an index
+    without a row in `_box`'s `rows` are the degenerate ones."""
+    regular = {row[0] for row in rows}
     records = [SolutionRecord(n, x, y, value, math.gcd(abs(x), abs(y)) == 1,
-                              degenerate)
-               for (n, x, y), (value, degenerate) in found.items()]
+                              n not in regular)
+               for (n, x, y), value in found.items()]
     records.sort(key=lambda r: r.key)
     return records
 
 
 def _collect(found: dict, spec: SearchSpec, cap: int, n: int, x: int, y: int,
-             value: int, degenerate: bool) -> None:
+             value: int) -> None:
     if value == 0 or abs(value) > spec.k or abs(x) > cap:
         return
     if spec.exclude_trivial and x * y == 0:
         return
-    found[(n, x, y)] = (value, degenerate)
+    found[(n, x, y)] = value
 
 
 def _trivial_axis_solutions(found: dict, spec: SearchSpec, cap: int, n: int,
-                            form: BinaryCubicForm, degenerate: bool) -> None:
+                            form: BinaryCubicForm) -> None:
     """Solutions on the axes x = 0 and y = 0, when trivial pairs are kept."""
     if spec.exclude_trivial or spec.k == 0:
         return
@@ -214,13 +217,13 @@ def _trivial_axis_solutions(found: dict, spec: SearchSpec, cap: int, n: int,
     for y in range(-y_top, y_top + 1):
         v = form.evaluate(0, y)
         if v != 0 and abs(v) <= spec.k:
-            found[(n, 0, y)] = (v, degenerate)
+            found[(n, 0, y)] = v
     x = 1
     while abs(form.evaluate(x, 0)) <= spec.k:
         for s in (x, -x):
             v = form.evaluate(s, 0)
             if v != 0 and abs(v) <= spec.k and abs(s) <= cap:
-                found[(n, s, 0)] = (v, degenerate)
+                found[(n, s, 0)] = v
         x += 1
 
 
@@ -236,21 +239,22 @@ def _degenerate_lines(found: dict, spec: SearchSpec, cap: int, n: int,
             if t == 0:
                 continue
             x = b * y + t
-            _collect(found, spec, cap, n, x, y, form.evaluate(x, y), True)
+            _collect(found, spec, cap, n, x, y, form.evaluate(x, y))
 
 
 # -- certified pruned enumeration -------------------------------------------------
 
 
 class _Anchors(NamedTuple):
-    """Certified data of one index, as integers scaled by 2^shift."""
+    """Certified data of one index, as integers scaled by 2^shift, except
+    num2 / 2^s2: the exact square of the dyadic lower end of |Im b'| > 0."""
 
     shift: int
     p_lo: int  # bracket of the real root b
     p_hi: int
     r_lo: int  # bracket of Re b'
     r_hi: int
-    num2: int  # num2 / 2^s2 <= Im(b')^2, with num2 > 0
+    num2: int  # num2 / 2^s2 <= Im(b')^2
     s2: int
     y_scan: int  # every solution with |y| > y_scan is a convergent multiple
 
@@ -259,7 +263,8 @@ def _stripe_data(beta: FieldElement, spec: SearchSpec) -> _Anchors:
     """Dyadic anchors for the scan of one index, and its certified range.
 
     y_scan bounds Y* = max(8k/g^2, (2k/(g Im^2))^(1/3)) from above, where
-    g = |b - b'| and Im = |Im b'| enter through lower bounds."""
+    g = |b - b'| and Im = |Im b'| enter through lower bounds: Im^2 through
+    num2 / 2^s2, the exact square of the dyadic lower end of |Im b'|."""
     shift = 64 + max(48, (2 * spec.y_max).bit_length() + 100)
 
     def step(bits: int) -> tuple[RI, CBox] | None:
@@ -269,12 +274,7 @@ def _stripe_data(beta: FieldElement, spec: SearchSpec) -> _Anchors:
     real, cplx = refine(step, shift, f"imaginary part not separated for {beta}")
     scale = 1 << shift
     im2 = abs(cplx.im).lo ** 2
-    # dyadic lower bound num2 / 2^s2 <= Im^2, with num2 > 0
-    s2 = 80
-    num2 = math.floor(im2 * (1 << s2))
-    while num2 <= 0:
-        s2 *= 2
-        num2 = math.floor(im2 * (1 << s2))
+    num2, s2 = im2.numerator, im2.denominator.bit_length() - 1
     gap = max(real.lo - cplx.re.hi, cplx.re.lo - real.hi, 0)
     g2 = gap * gap + im2  # <= |b - b'|^2
     k = spec.k
@@ -368,7 +368,7 @@ def solve_box(fam: FormFamily, spec: SearchSpec) -> list[SolutionRecord]:
             for x in range(x_first, x_last + 1):
                 d = max(t_lo - x * one, x * one - t_hi, 0)
                 if d <= r_scaled:
-                    _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
+                    _collect(found, spec, cap, n, x, y, evaluate(x, y))
             # the other integers have |x - b y| >= 1, so |x - b' y|^2 <= k:
             # the band |x - Re(b') y| <= sqrt(k), cut to the same radius
             # around b y
@@ -380,7 +380,7 @@ def solve_box(fam: FormFamily, spec: SearchSpec) -> list[SolutionRecord]:
             for x in range(z_first, z_last + 1):
                 if x_first <= x <= x_last:
                     continue
-                _collect(found, spec, cap, n, x, y, evaluate(x, y), False)
+                _collect(found, spec, cap, n, x, y, evaluate(x, y))
         if y_scan < spec.y_max:
             for p, q in _convergents(form, spec.y_max):
                 value = evaluate(p, q)  # nonzero: the form is irreducible
@@ -389,10 +389,10 @@ def solve_box(fam: FormFamily, spec: SearchSpec) -> list[SolutionRecord]:
                     if m * q > y_scan:
                         for s in (m, -m):
                             _collect(found, spec, cap, n, s * p, s * q,
-                                     evaluate(s * p, s * q), False)
+                                     evaluate(s * p, s * q))
                     m += 1
-        _trivial_axis_solutions(found, spec, cap, n, form, False)
-    return _finish(found)
+        _trivial_axis_solutions(found, spec, cap, n, form)
+    return _finish(found, rows)
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -494,9 +494,9 @@ def _oracle_index(found: dict, spec: SearchSpec, cap: int, n: int,
                 xs.extend(range(window[0], window[1] + 1))
         for x in xs:
             v = ((a0 * x + b1) * x + b2) * x + b3
-            _collect(found, spec, cap, n, x, y, v, False)
-            _collect(found, spec, cap, n, -x, -y, -v, False)
-    _trivial_axis_solutions(found, spec, cap, n, form, False)
+            _collect(found, spec, cap, n, x, y, v)
+            _collect(found, spec, cap, n, -x, -y, -v)
+    _trivial_axis_solutions(found, spec, cap, n, form)
 
 
 def _lane_bound(forms: list[tuple[int, BinaryCubicForm]], cap: int,
@@ -575,12 +575,12 @@ def _naive_scan(found: dict, spec: SearchSpec, cap: int,
             i = top // width
             n, y = rows[i]
             _collect(found, spec, cap, n, x, y,
-                     ((v >> (width * i)) & low_bits) - b, False)
+                     ((v >> (width * i)) & low_bits) - b)
         v += d1
         d1 += d2
         d2 += d3
     for n, form in forms:
-        _trivial_axis_solutions(found, spec, cap, n, form, False)
+        _trivial_axis_solutions(found, spec, cap, n, form)
 
 
 def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
@@ -604,4 +604,4 @@ def brute_force_oracle(fam: FormFamily, spec: SearchSpec,
     elif not naive:
         for n, _, form, root in rows:
             _oracle_index(found, spec, cap, n, root, form)
-    return _finish(found)
+    return _finish(found, rows)

@@ -47,7 +47,7 @@ from .intervals import (
     ri_pi,
     ri_sin,
 )
-from .reporting import cbox_json, frac_str, ri_json
+from .reporting import cbox_json, coords_json, frac_str, ri_json
 
 CASE_T1T2 = "T1T2_dominant"
 CASE_T1T3 = "T1T3_dominant"
@@ -118,21 +118,15 @@ class LambdaData:
 
 class Images:
     """Real (`xi_r`) and complex (`xi_c`) images of xi at one working
-    precision, |xi'| and `top` = k^kappa9; epsilon's and alpha's are the
-    family's."""
+    precision, |xi'| and `top` = k^kappa9 = max{house(xi), 1/|xi|, 1/|xi'|},
+    which row 20, the ledger and `house` read at every level; epsilon's and
+    alpha's are the family's."""
 
     def __init__(self, xi: FieldElement, bits: int):
         self.xi_r, self.xi_c = xi.embed(Fraction(1, 1 << bits))
-        self.abs_xi_c = self.xi_c.abs(bits)
-        self._top: RI | None = None
-
-    @property
-    def top(self) -> RI:
-        """max{house(xi), 1/|xi|, 1/|xi'|}, made on first use."""
-        if self._top is None:
-            a, b = abs(self.xi_r), self.abs_xi_c
-            self._top = a.max_with(b).max_with(a.recip()).max_with(b.recip())
-        return self._top
+        self.abs_xi_c = b = self.xi_c.abs(bits)
+        a = abs(self.xi_r)
+        self.top = a.max_with(b).max_with(a.recip()).max_with(b.recip())
 
 
 class SolutionImages:
@@ -227,9 +221,13 @@ def classify_case(trace: SiegelTrace) -> tuple[str, TraceCheck]:
     if result is None:
         raise AmbiguousOrdering("stored term enclosures overlap")
     case, margin = result
-    check = TraceCheck("domination", margin.hi >= 0, margin,
-                       "2|b| - |a| for the two dominant terms")
-    return case, check
+    return case, _domination(margin)
+
+
+def _domination(margin: RI) -> TraceCheck:
+    """The check on the margin 2|b| - |a| of the two dominant terms."""
+    return TraceCheck("domination", margin.hi >= 0, margin,
+                      "largest term at most twice the second")
 
 
 # -- the trace proper -----------------------------------------------------------
@@ -331,8 +329,7 @@ def siegel_terms(images: SolutionImages) -> SiegelTrace:
         checks.append(TraceCheck(
             f"dual_form_{name}", overlap, RI.point(gap),
             "product-form and sine-form enclosures agree"))
-    checks.append(TraceCheck("domination", dom_margin.hi >= 0, dom_margin,
-                             "largest term at most twice the second"))
+    checks.append(_domination(dom_margin))
     return SiegelTrace(images.n, images.dec.ell, t1, t2, t3, tuple(sines),
                        abs_terms, theta, delta, v, case, tuple(checks),
                        degenerate, bits)
@@ -612,7 +609,7 @@ def trace_certificate(fam: FormFamily, n: int, x: int, y: int,
         "n": n, "x": x, "y": y, "k": k,
         "value": value,
         "ell": dec.ell,
-        "xi1": [frac_str(c) for c in dec.xi.coords],
+        "xi1": coords_json(dec.xi),
         "norm_abs": frac_str(dec.norm_abs),
         "balance": ri_json(dec.balance, 25),
         "kappa9_emp": ri_json(kappa9, 25),

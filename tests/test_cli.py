@@ -106,6 +106,23 @@ def test_solve_naive_oracle_prints_the_oracle_rows(capsys):
     assert len(oracle.splitlines()) > 0
 
 
+def test_degenerate_flag_is_read_off_the_index(capsys):
+    # beta_n is rational exactly at n = -1 on D=1: its rows, and only they,
+    # are flagged, and the three enumeration paths print the same rows
+    box = ("--output", "json", "solve", "--D", "1", "--n", "-3..3", "--k",
+           "20", "--y-max", "30", "--include-trivial", "--include-degenerate")
+    outs = []
+    for path in ((), ("--oracle",), ("--oracle", "--naive")):
+        code, out, _ = run_cli(capsys, *box, *path)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    rows = [json.loads(line) for line in outs[0].splitlines()[1:]]
+    assert {row["n"] for row in rows} >= {-1, 0}
+    for row in rows:
+        assert row.get("degenerate", False) == (row["n"] == -1)
+
+
 def test_solve_naive_without_oracle_exit_2(capsys):
     code, out, err = run_cli(capsys, "solve", "--D", "1", "--k", "5",
                              "--n", "0", "--naive")
@@ -501,6 +518,14 @@ MALFORMED_RECORDS = {
     "alpha_number": lambda r: {**r, "alpha": 3},
     "four_coordinates": lambda r: {**r, "alpha": [*r["alpha"], "0"]},
     "two_coordinates": lambda r: {**r, "alpha": ["3", "3"]},
+    # each subclass of InvalidParameter reaches the same handler
+    "non_monic": lambda r: {**r, "min_poly": [2, 0, 0, 1]},
+    "reducible": lambda r: {**r, "min_poly": [1, 0, 0, -1]},
+    "totally_real": lambda r: {**r, "min_poly": [1, 0, -3, 1]},
+    "non_unit_epsilon": lambda r: {**r, "epsilon": ["2", "0", "0"]},
+    # a rational alpha generates no cubic field: every F_n is a cube
+    "alpha_zero": lambda r: {**r, "alpha": ["0", "0", "0"]},
+    "alpha_two": lambda r: {**r, "alpha": ["2", "0", "0"]},
 }
 
 
@@ -508,9 +533,10 @@ MALFORMED_RECORDS = {
                          ids=MALFORMED_RECORDS.keys())
 def test_malformed_family_file_is_an_invalid_parameter(malform, tmp_path,
                                                       capsys):
-    # a record that is not an object, lacks a key or has malformed
-    # coordinates is refused, never read as another family; the record has
-    # no "D", whose check would refuse 3 + 3g for another reason
+    # a record that is not an object, lacks a key, has malformed
+    # coordinates or names no family of the paper is refused, never read as
+    # another family; the record has no "D", whose check would refuse
+    # 3 + 3g for another reason
     d1 = json.loads(family_to_json(example_family(1)))
     record = malform({key: value for key, value in d1.items() if key != "D"})
     path = tmp_path / "family.json"

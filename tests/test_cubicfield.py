@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubicthue.cubicfield import (
-    FieldElement,
     SplittingAlgebra,
     has_rational_root,
     make_field,

@@ -266,12 +266,19 @@ def test_enclosure_monotone_under_refinement():
 
 
 def test_cbox_pow_int_encloses():
-    z = CBox.point(Fraction(3, 7), Fraction(2, 7))
-    w = (Fraction(1), Fraction(0))
-    for _ in range(9):
-        w = _cmul(w, (Fraction(3, 7), Fraction(2, 7)))
-    box = z.pow_int(9)
-    assert box.re.contains(w[0]) and box.im.contains(w[1])
+    # CBox runs RI's square-and-multiply loop: 0 gives the point 1, and a
+    # negative power is the reciprocal box of the positive one
+    z = (Fraction(3, 7), Fraction(2, 7))
+    for n in (9, 0, 1, -1, -3):
+        w = (Fraction(1), Fraction(0))
+        for _ in range(abs(n)):
+            w = _cmul(w, z)
+        if n < 0:
+            d = w[0] ** 2 + w[1] ** 2
+            w = (w[0] / d, -w[1] / d)
+        box = CBox.point(*z).pow_int(n)
+        assert isinstance(box, CBox)
+        assert box.re.contains(w[0]) and box.im.contains(w[1])
 
 
 # -- the dyadic kernel against exact interval arithmetic -------------------------

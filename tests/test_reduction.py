@@ -8,7 +8,7 @@ import pytest
 
 from cubicthue import family
 from cubicthue.cubicfield import DEFAULT_PRECISION, FieldElement
-from cubicthue.errors import DegenerateN, TrivialXY, ZeroElement, ZeroValue
+from cubicthue.errors import DegenerateN, TrivialXY, ZeroElement
 from cubicthue.family import make_family
 from cubicthue.heights import regulator
 from cubicthue.intervals import RI, bits_for_width, ri_exp, ri_log

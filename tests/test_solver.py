@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -124,7 +125,7 @@ def test_oracle_index_reads_no_enclosure(fam1, monkeypatch):
     monkeypatch.setattr(solver, "refine", refuse)
     for n, _, form, root in rows:
         solver._oracle_index(found, spec, cap, n, root, form)
-    assert record_keys(solver._finish(found)) == expected
+    assert record_keys(solver._finish(found, rows)) == expected
 
 
 # -- solve_box ----------------------------------------------------------------
@@ -135,6 +136,25 @@ def test_solve_box_equals_oracle(fam1, fam2, fam3):
         pruned = record_keys(solve_box(fam, SMALL))
         oracle = record_keys(brute_force_oracle(fam, SMALL))
         assert pruned == oracle
+
+
+def test_exact_im2_bound_where_im_is_tiny(fam1):
+    # |Im b'| < 2^-40 at n = 40..44 on D=1: the Im^2 bound is the exact
+    # square of its enclosure's dyadic lower end, below Im^2 and within
+    # 2^-100 of it, measured against an enclosure 64 bits finer
+    spec = SearchSpec(k=100, n_lo=40, n_hi=44, y_max=50)
+    for n in spec.indices():
+        beta = fam1.beta(n)
+        anchors = _stripe_data(beta, spec)
+        _, fine = beta.embed(Fraction(1, 1 << (anchors.shift + 64)))
+        lo, hi = abs(fine.im).lo, abs(fine.im).hi
+        assert 0 < hi < Fraction(1, 1 << 40)
+        bound = Fraction(anchors.num2, 1 << anchors.s2)
+        assert 0 < bound <= hi * hi
+        assert lo * lo - bound <= lo * lo / 2**100
+    for box in (spec, replace(spec, exclude_trivial=False)):
+        assert record_keys(solve_box(fam1, box)) == record_keys(
+            brute_force_oracle(fam1, box))
 
 
 def test_stripe_failure_falls_back_to_the_oracle(fam1, monkeypatch):

@@ -188,12 +188,12 @@ def test_packed_scan_when_k_exceeds_every_value(D):
     cap = 12
     forms = [(n, form_at(fam, n)) for n in spec.indices()
              if not fam.is_degenerate_index(n)]
-    expected = {(n, x, y): (form.evaluate(x, y), False)
+    expected = {(n, x, y): form.evaluate(x, y)
                 for n, form in forms
                 for y in range(-spec.y_max, spec.y_max + 1)
                 for x in range(-cap, cap + 1)
                 if x * y != 0}
-    assert max(abs(v) for v, _ in expected.values()) <= spec.k
+    assert max(abs(v) for v in expected.values()) <= spec.k
     found = {}
     _naive_scan(found, spec, cap, forms)
     assert found == expected

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import random
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +13,7 @@ from cubicthue.errors import AmbiguousOrdering, NotThirdCase
 from cubicthue.family import example_family, family_to_json, form_at
 from cubicthue.heights import regulator
 from cubicthue.intervals import CBox, RI, ri_pi
-from cubicthue.reduction import Decomposition, decompose_solution, unit_reduce
+from cubicthue.reduction import Decomposition, decompose_solution
 from cubicthue.solver import SearchSpec, solve_box
 from cubicthue.tracer import (
     CASE_T2T3,

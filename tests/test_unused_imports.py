@@ -1,8 +1,10 @@
-"""Guards over the package's own source.
+"""Guards over the package's own source and its tests.
 
-* Every name a package module imports at top level is read by it.
-  `__init__.py` re-exports what it imports, and `from __future__` imports
-  are compiler directives, so neither is checked.
+* Every name a package module or a test file imports at top level is read
+  by it.  `__init__.py` re-exports what it imports, and `from __future__`
+  imports are compiler directives, so neither is checked.  A fixture
+  imported into a test file would read as unused there: fixtures belong in
+  `conftest.py`, which pytest loads without an import.
 * Every UPPER_CASE module-level name of the package is read somewhere in
   the package or the tests.
 * No function or method takes a `with_decomposition` switch, and only
@@ -36,7 +38,8 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *sorted(TESTS.glob("*.py"))],
+                         ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
